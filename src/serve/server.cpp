@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -9,18 +10,23 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/protocol.hpp"
 
 namespace ewalk {
 
 namespace {
+
+// Longest partial line a connection may buffer while it waits for the
+// newline. Real requests are a few hundred bytes; a peer past this gets
+// one error line and is disconnected instead of growing the daemon.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 // Best-effort id recovery from a line that failed request parsing, so the
 // error response still routes back to the right client-side future. Any
@@ -43,6 +49,62 @@ bool is_blank(const std::string& line) {
 }
 
 }  // namespace
+
+// One accepted TCP connection. Its reader thread and the sink of every run
+// it queued share it, so the socket lives until the last of them is done:
+// the fd is closed only when the last reference drops, and a run still in
+// flight can never write into an fd number accept() has since handed to
+// another client.
+class Server::Connection {
+ public:
+  explicit Connection(int fd) : fd_(fd) {
+    // Every run answers with two small writes, the queued line and then
+    // the result. Under Nagle's algorithm the second waits for the ACK of
+    // the first, which the client delays by about 40 ms.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // A receive timeout keeps the reader checking the shutdown flag even
+    // when the peer goes quiet, so serve_tcp() can always join it.
+    timeval tv{};
+    tv.tv_usec = 200 * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  ~Connection() { ::close(fd_); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  int fd() const noexcept { return fd_; }
+
+  // Sends `response` plus '\n'; a no-op once the peer is gone.
+  void write_line(const std::string& response) {
+    const std::string line = response + '\n';
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    std::size_t sent = 0;
+    while (!peer_gone_ && sent < line.size()) {
+      const ssize_t n =
+          ::send(fd_, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+      if (n > 0)
+        sent += static_cast<std::size_t>(n);
+      else if (n < 0 && errno == EINTR)
+        continue;
+      else
+        peer_gone_ = true;  // the run still completes server-side
+    }
+  }
+
+  // Ends the connection for the peer and turns every later write into a
+  // no-op. The fd number stays reserved until the last reference drops.
+  void hang_up() {
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    peer_gone_ = true;
+    ::shutdown(fd_, SHUT_RDWR);
+  }
+
+ private:
+  const int fd_;
+  std::mutex write_mutex_;
+  bool peer_gone_ = false;  // guarded by write_mutex_
+};
 
 Server::Server(ServerConfig config)
     : config_(config),
@@ -79,9 +141,11 @@ void Server::handle_run(const RunRequest& run, const Sink& sink) {
     // execute_run never throws (failures come back as ok == false), so a
     // bad run produces an error line instead of poisoning the scope.
     const RunResult result = execute_run(run, &store_);
-    sink(serialize_run_result(result));
+    // Settle the counters before answering: a `stats` the client sends
+    // after reading this result must already count the run.
     completed_.fetch_add(1, std::memory_order_relaxed);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    sink(serialize_run_result(result));
   });
 }
 
@@ -147,61 +211,81 @@ std::uint16_t Server::listen_tcp(std::uint16_t port) {
   return ntohs(addr.sin_port);
 }
 
-void Server::serve_connection(int fd) {
-  // A receive timeout keeps this reader checking the shutdown flag even
-  // when the peer goes quiet, so serve_tcp() can always join it.
-  timeval tv{};
-  tv.tv_usec = 200 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-
-  auto write_mutex = std::make_shared<std::mutex>();
-  const Sink sink = [fd, write_mutex](const std::string& response) {
-    const std::string line = response + "\n";
-    std::lock_guard<std::mutex> lock(*write_mutex);
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n =
-          ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return;  // peer gone; the run still completes server-side
-      sent += static_cast<std::size_t>(n);
-    }
+void Server::serve_connection(std::shared_ptr<Connection> conn) {
+  const Sink sink = [conn](const std::string& response) {
+    conn->write_line(response);
   };
-
   std::string buffer;
   char chunk[4096];
   while (!shutdown_requested()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) break;  // peer closed
+    const ssize_t n = ::recv(conn->fd(), chunk, sizeof chunk, 0);
+    if (n == 0) return;  // peer closed its side; its queued runs still answer
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
+      conn->hang_up();
+      return;
     }
+    const std::size_t unscanned = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    std::size_t begin = 0;
+    for (std::size_t end = buffer.find('\n', unscanned);
+         end != std::string::npos; end = buffer.find('\n', begin)) {
+      std::string line = buffer.substr(begin, end - begin);
+      begin = end + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       handle_line(line, sink);
-      if (shutdown_requested()) break;
+      if (shutdown_requested()) return;
+    }
+    buffer.erase(0, begin);
+    if (buffer.size() > kMaxLineBytes) {
+      sink(serialize_error("", "request line exceeds " +
+                                   std::to_string(kMaxLineBytes) +
+                                   " bytes without a newline; closing the "
+                                   "connection"));
+      conn->hang_up();
+      return;
     }
   }
-  ::close(fd);
 }
 
 void Server::serve_tcp() {
   if (listen_fd_ < 0)
     throw std::logic_error("serve_tcp() requires listen_tcp() first");
-  std::vector<std::thread> connections;
+  // Each reader flags its own exit, so the accept loop joins finished
+  // readers as it goes instead of holding every thread until shutdown.
+  struct Reader {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Reader> readers;
+  const auto reap = [this, &readers](bool all) {
+    for (auto it = readers.begin(); it != readers.end();) {
+      if (!all && !it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = readers.erase(it);
+      open_connections_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  };
   while (!shutdown_requested()) {
+    reap(/*all=*/false);
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back([this, fd] { serve_connection(fd); });
+    auto conn = std::make_shared<Connection>(fd);
+    open_connections_.fetch_add(1, std::memory_order_acq_rel);
+    Reader& reader = readers.emplace_back();
+    reader.thread =
+        std::thread([this, conn = std::move(conn), &reader]() mutable {
+          serve_connection(std::move(conn));
+          reader.done.store(true, std::memory_order_release);
+        });
   }
-  for (std::thread& t : connections) t.join();
+  reap(/*all=*/true);
   drain();
 }
 

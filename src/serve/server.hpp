@@ -21,7 +21,10 @@
 // istream to any ostream (the `--stdin` pipe mode CI and tests use);
 // listen_tcp()/serve_tcp() accept TCP connections on a (possibly
 // ephemeral) port with one reader thread per connection, all sharing the
-// store and the scope.
+// store and the scope. A socket stays open until its reader and every run
+// it queued are done, so a disconnected client's result never reaches a
+// later client on a reused fd; a request line over 1 MiB closes its
+// connection; finished readers are joined as connections come and go.
 //
 // Determinism contract: a run's samples depend only on the RunRequest
 // (execute_run), so responses are bit-identical across cache states,
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "serve/graph_store.hpp"
@@ -91,6 +95,14 @@ class Server {
     return inflight_.load(std::memory_order_acquire);
   }
 
+  /// Number of accepted TCP connections whose reader thread serve_tcp()
+  /// has not joined yet. A connection counts from accept() until its
+  /// reader has exited (peer closed, over-long line, or shutdown) and the
+  /// accept loop has reaped it, which takes at most one 100 ms poll.
+  std::uint32_t open_connections() const noexcept {
+    return open_connections_.load(std::memory_order_acquire);
+  }
+
   /// Pumps line-delimited requests from `in` to `out` until EOF or
   /// shutdown, then drains. The pipe transport (`ewalkd --stdin`).
   void serve_stream(std::istream& in, std::ostream& out);
@@ -106,8 +118,10 @@ class Server {
   void serve_tcp();
 
  private:
+  class Connection;  // one accepted socket, defined in server.cpp
+
   void handle_run(const RunRequest& run, const Sink& sink);
-  void serve_connection(int fd);
+  void serve_connection(std::shared_ptr<Connection> conn);
 
   const ServerConfig config_;
   GraphStore store_;
@@ -115,6 +129,7 @@ class Server {
   std::atomic<std::uint32_t> inflight_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> tickets_{0};
+  std::atomic<std::uint32_t> open_connections_{0};
   std::atomic<bool> shutdown_{false};
   int listen_fd_ = -1;
 };

@@ -149,9 +149,7 @@ class EProcess {
 
   /// Performs `k` transitions as one call; bit-identical to k step() calls.
   /// The batched entry point chunked drivers and EProcessHandle use.
-  void step_many(Rng& rng, std::uint64_t k) {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
+  void step_many(Rng& rng, std::uint64_t k);
 
   /// Vertex the walk currently occupies.
   Vertex current() const { return current_; }

@@ -6,9 +6,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <mutex>
 #include <regex>
 #include <sstream>
@@ -421,6 +424,24 @@ TEST(ServerTest, ShutdownDrainsInFlightWork) {
   EXPECT_EQ(lines.back(), "{\"id\":\"bye\",\"status\":\"bye\"}");
 }
 
+TEST(ServerTest, CountersSettleBeforeTheResultIsSent) {
+  // A stats request made from inside the result sink runs no earlier than
+  // any client could send one after reading the result line.
+  Server server(ServerConfig{});
+  Collector stats;
+  const Server::Sink sink = [&server, &stats](const std::string& line) {
+    if (line.find("\"status\":\"ok\"") != std::string::npos)
+      server.handle_line("{\"op\":\"stats\",\"id\":\"s\"}", stats.sink());
+  };
+  server.handle_line(run_line("r", "cycle", "srw", 7, 64), sink);
+  server.drain();
+  const auto lines = stats.snapshot();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"inflight\":0,\"completed\":1}"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST(ServerTest, StreamTransportEndToEnd) {
   std::istringstream in(
       run_line("r1", "cycle", "srw", 7, 64) + "\n" +
@@ -487,6 +508,202 @@ TEST(ServerTest, TcpLoopbackRoundTrip) {
   EXPECT_NE(received.find("{\"id\":\"z\",\"status\":\"bye\"}"),
             std::string::npos)
       << received;
+}
+
+// ---- TCP connection lifetime -----------------------------------------------
+
+const std::string kPing = "{\"op\":\"ping\",\"id\":\"p\"}";
+const std::string kPong = "{\"id\":\"p\",\"status\":\"pong\"}";
+
+// A Server on an ephemeral loopback port with its accept loop running;
+// the destructor shuts it down and joins the loop.
+struct TcpServer {
+  Server server{ServerConfig{}};
+  std::uint16_t port = server.listen_tcp(0);
+  std::thread accept_thread{[this] { server.serve_tcp(); }};
+
+  ~TcpServer() {
+    server.handle_line("{\"op\":\"shutdown\"}", [](const std::string&) {});
+    accept_thread.join();
+  }
+};
+
+// A blocking loopback client. Reads time out after 30 s, so a server
+// that never answers fails the test instead of hanging it.
+class TcpClient {
+ public:
+  explicit TcpClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    timeval tv{};
+    tv.tv_sec = 30;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof addr) == 0;
+  }
+  ~TcpClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  TcpClient(const TcpClient&) = delete;
+  TcpClient& operator=(const TcpClient&) = delete;
+
+  bool connected() const { return connected_; }
+
+  // False when the peer stopped accepting bytes before all were sent.
+  bool send_all(const std::string& data) {
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+      const ssize_t n =
+          ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  // The next response line without its newline; "" at EOF or timeout.
+  std::string read_line() {
+    for (;;) {
+      if (const std::size_t nl = buffer_.find('\n'); nl != std::string::npos) {
+        std::string line = buffer_.substr(0, nl);
+        buffer_.erase(0, nl + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n <= 0) return "";
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  // The next run result, skipping `queued` acks; "" at EOF or timeout.
+  std::string read_result() {
+    std::string line;
+    do line = read_line();
+    while (line.find("\"status\":\"queued\"") != std::string::npos);
+    return line;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::string buffer_;
+};
+
+// Polls `done` every 10 ms for up to 10 s; returns its last value.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return done();
+}
+
+// SRW steps on a 1e5-cycle, far from covering it: about 0.2 s of kernel
+// work in a Release build, longer than A's reader takes to be reaped.
+constexpr std::uint64_t kLongRunSteps = 15000000;
+
+TEST(ServerTcpTest, DisconnectedClientsResultNeverReachesTheNextClient) {
+  TcpServer tcp;
+  {
+    // Client A queues a long run, then disconnects while it is in flight.
+    TcpClient a(tcp.port);
+    ASSERT_TRUE(a.connected());
+    ASSERT_TRUE(a.send_all(
+        "{\"op\":\"run\",\"id\":\"A-run\",\"graph\":\"cycle\",\"process\":"
+        "\"srw\",\"trials\":1,\"max-steps\":" +
+        std::to_string(kLongRunSteps) + ",\"params\":{\"n\":\"100000\"}}\n"));
+    ASSERT_NE(a.read_line().find("\"status\":\"queued\""), std::string::npos);
+  }
+  // Once A's reader is gone, A's fd number would be free for B's accept()
+  // if the reader had closed it.
+  ASSERT_TRUE(eventually([&] { return tcp.server.open_connections() == 0; }));
+  TcpClient b(tcp.port);
+  ASSERT_TRUE(b.connected());
+  ASSERT_TRUE(b.send_all(kPing + "\n{\"op\":\"drain\",\"id\":\"d\"}\n"));
+  // The drain waits for A's run, so A's result, if it leaked, would arrive
+  // before the drained line.
+  EXPECT_EQ(b.read_line(), kPong);
+  EXPECT_EQ(b.read_line(), "{\"id\":\"d\",\"status\":\"drained\"}");
+}
+
+TEST(ServerTcpTest, SequentialRunsDoNotStallOnDelayedAcks) {
+  TcpServer tcp;
+  TcpClient client(tcp.port);
+  ASSERT_TRUE(client.connected());
+  // Each run answers with two small writes; with Nagle's algorithm on, the
+  // second waits ~40 ms for the client's delayed ACK of the first, and 40
+  // closed-loop runs take at least 1.6 s.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(client.send_all(
+        run_line("s" + std::to_string(i), "cycle", "srw", 7, 16) + "\n"));
+    const std::string result = client.read_result();
+    ASSERT_NE(result.find("\"status\":\"ok\""), std::string::npos) << result;
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 1.0);
+}
+
+TEST(ServerTcpTest, StatsAfterTheLastResultCountsEveryRun) {
+  TcpServer tcp;
+  TcpClient client(tcp.port);
+  ASSERT_TRUE(client.connected());
+  constexpr int kRuns = 8;
+  std::string batch;
+  for (int i = 0; i < kRuns; ++i)
+    batch += run_line("c" + std::to_string(i), "cycle", "srw", 20 + i, 64) + "\n";
+  ASSERT_TRUE(client.send_all(batch));
+  for (int i = 0; i < kRuns; ++i)
+    ASSERT_NE(client.read_result().find("\"status\":\"ok\""), std::string::npos);
+  // No drain: the counters must already be settled when a result arrives.
+  ASSERT_TRUE(client.send_all("{\"op\":\"stats\",\"id\":\"s\"}\n"));
+  const std::string stats = client.read_line();
+  EXPECT_NE(stats.find("\"inflight\":0,"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"completed\":" + std::to_string(kRuns) + "}"),
+            std::string::npos)
+      << stats;
+}
+
+TEST(ServerTcpTest, OverlongLineClosesOnlyThatConnection) {
+  TcpServer tcp;
+  TcpClient flood(tcp.port);
+  ASSERT_TRUE(flood.connected());
+  // 2 MiB without a newline. The send may fail part way once the server
+  // hangs up, so its result is not checked.
+  flood.send_all(std::string(std::size_t{2} << 20, 'x'));
+  const std::string error = flood.read_line();
+  EXPECT_NE(error.find("\"status\":\"error\""), std::string::npos) << error;
+  EXPECT_NE(error.find("1048576"), std::string::npos) << error;
+  EXPECT_EQ(flood.read_line(), "");  // then the server closed it
+  TcpClient other(tcp.port);
+  ASSERT_TRUE(other.connected());
+  ASSERT_TRUE(other.send_all(kPing + "\n"));
+  EXPECT_EQ(other.read_line(), kPong);
+}
+
+TEST(ServerTcpTest, FinishedConnectionsAreReaped) {
+  TcpServer tcp;
+  {
+    std::vector<std::unique_ptr<TcpClient>> clients;
+    for (int i = 0; i < 64; ++i) {
+      clients.push_back(std::make_unique<TcpClient>(tcp.port));
+      ASSERT_TRUE(clients.back()->connected());
+      ASSERT_TRUE(clients.back()->send_all(kPing + "\n"));
+      ASSERT_EQ(clients.back()->read_line(), kPong);
+    }
+    EXPECT_EQ(tcp.server.open_connections(), 64u);
+  }  // all 64 clients close
+  EXPECT_TRUE(eventually([&] { return tcp.server.open_connections() == 0; }));
+  TcpClient after(tcp.port);
+  ASSERT_TRUE(after.connected());
+  ASSERT_TRUE(after.send_all(kPing + "\n"));
+  EXPECT_EQ(after.read_line(), kPong);
 }
 
 }  // namespace
