@@ -17,7 +17,6 @@
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ewalk::bench {
@@ -29,36 +28,13 @@ struct BenchConfig {
   bool full = false;            ///< paper-scale sizes (n up to 5*10^5)
 };
 
-// Same --threads / --pin semantics as the ewalk CLI: --threads 0 means all
-// hardware threads, above-hardware requests clamp with a warning, --pin is
-// rejected on platforms without affinity support (best-effort failures
-// only warn).
+// --threads defaults to 0 (all hardware threads) here; see
+// resolve_cli_threads for the shared --threads / --pin semantics.
 inline BenchConfig parse_config(int argc, char** argv) {
   const Cli cli(argc, argv);
   BenchConfig cfg;
   cfg.trials = static_cast<std::uint32_t>(cli.get_int("trials", cfg.trials));
-  const std::int64_t threads_requested = cli.get_int("threads", 0);
-  if (threads_requested < 0)
-    throw std::invalid_argument(
-        "--threads must be >= 0 (0 = all hardware threads)");
-  bool clamped = false;
-  cfg.threads = resolve_thread_count(
-      static_cast<std::uint64_t>(threads_requested), &clamped);
-  if (clamped)
-    std::fprintf(stderr,
-                 "warning: --threads %lld exceeds the %u hardware threads; "
-                 "clamped to %u\n",
-                 static_cast<long long>(threads_requested),
-                 Executor::hardware_threads(), cfg.threads);
-  if (cli.get_bool("pin", false)) {
-    if (!Executor::pin_supported())
-      throw std::invalid_argument(
-          "--pin: thread-affinity pinning is not supported on this platform");
-    if (!Executor::instance().set_pinning(true))
-      std::fprintf(stderr,
-                   "warning: --pin: could not apply affinity to every worker "
-                   "(restricted cpuset?)\n");
-  }
+  cfg.threads = resolve_cli_threads(cli, /*default_threads=*/0);
   cfg.seed = cli.get_u64("seed", cfg.seed);
   cfg.full = cli.get_bool("full", false);
   return cfg;

@@ -8,6 +8,7 @@
 // normalised by n. All rules should be Θ(n) with comparable constants.
 #include "bench/common.hpp"
 #include "covertime/experiment.hpp"
+#include "engine/adapters.hpp"
 #include "graph/generators.hpp"
 #include "walks/rules.hpp"
 
@@ -21,11 +22,11 @@ int main(int argc, char** argv) {
 
   const Vertex n = cfg.full ? 200000 : 50000;
 
-  struct NamedFactory {
+  struct NamedRule {
     const char* label;
-    RuleFactory make;
+    std::function<std::unique_ptr<UnvisitedEdgeRule>(const Graph&)> make;
   };
-  const std::vector<NamedFactory> rules{
+  const std::vector<NamedRule> rules{
       {"uniform", [](const Graph&) { return std::make_unique<UniformRule>(); }},
       {"first-slot", [](const Graph&) { return std::make_unique<FirstSlotRule>(); }},
       {"last-slot", [](const Graph&) { return std::make_unique<LastSlotRule>(); }},
@@ -52,7 +53,12 @@ int main(int argc, char** argv) {
       ec.trials = cfg.trials;
       ec.threads = cfg.threads;
       ec.seed = cfg.seed * 1299709 + r * 7 + i;
-      const auto res = measure_eprocess_cover(graphs, rules[i].make, ec);
+      const ProcessFactory eprocess =
+          [&make = rules[i].make](const Graph& g,
+                                  Rng&) -> std::unique_ptr<WalkProcess> {
+        return std::make_unique<EProcessHandle>(g, /*start=*/0, make(g));
+      };
+      const auto res = measure_cover(eprocess, graphs, ec);
       std::printf("  %-14s %14.0f %10.0f %10.3f\n", rules[i].label, res.stats.mean,
                   res.stats.ci95_halfwidth(), res.stats.mean / n);
       csv->row({static_cast<double>(r), static_cast<double>(n),

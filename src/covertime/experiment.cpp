@@ -1,90 +1,12 @@
 #include "covertime/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <span>
 #include <stdexcept>
 
-#include "engine/adapters.hpp"
 #include "engine/budget.hpp"
-#include "engine/bundle.hpp"
-#include "engine/driver.hpp"
 #include "util/thread_pool.hpp"
-#include "walks/srw.hpp"
 
 namespace ewalk {
-
-namespace {
-
-// The cover target of a RunRequest, for this harness: kAuto means vertex
-// cover; coalescence runs belong to measure_coalescence.
-CoverTarget cover_target_of(const RunRequest& req) {
-  switch (req.target) {
-    case RunTarget::kEdges:
-      return CoverTarget::kEdges;
-    case RunTarget::kCoalescence:
-      throw std::invalid_argument(
-          "measure_cover: target coalescence needs measure_coalescence");
-    case RunTarget::kAuto:
-    case RunTarget::kVertices:
-      break;
-  }
-  return CoverTarget::kVertices;
-}
-
-// One bundle of `width` consecutive trials, run as a single scheduler task:
-// per trial (ascending order) the graph and process are built from the
-// trial's own stream — the same single-stream graph->process->walk order
-// the sequential path uses — then all trials advance round-robin through
-// run_trial_bundle with the sequential stride-1 check schedule. Samples are
-// therefore bit-identical to the width-1 path for every bundle width.
-void run_cover_bundle(const ProcessFactory& processes,
-                      const GraphFactory& graphs, CoverTarget target,
-                      std::uint64_t max_steps, std::span<Rng> streams,
-                      std::uint32_t lo, std::uint32_t hi,
-                      std::vector<double>& samples,
-                      std::atomic<std::uint32_t>& uncovered) {
-  const std::uint32_t width = hi - lo;
-  std::vector<Graph> bundle_graphs;
-  bundle_graphs.reserve(width);  // walks hold Graph*: no reallocation allowed
-  std::vector<std::unique_ptr<WalkProcess>> walks;
-  walks.reserve(width);
-  std::vector<std::uint64_t> budgets(width, 0);
-  std::vector<BundleTrial> bundle(width);
-  for (std::uint32_t i = 0; i < width; ++i) {
-    Rng& rng = streams[lo + i];
-    bundle_graphs.push_back(graphs(rng));
-    const Graph& g = bundle_graphs.back();
-    walks.push_back(processes(g, rng));
-    budgets[i] = max_steps != 0 ? max_steps : default_step_budget(g);
-    bundle[i] = BundleTrial{walks.back().get(), &rng, budgets[i], 1};
-  }
-  std::vector<std::uint8_t> finished;
-  if (target == CoverTarget::kVertices) {
-    finished = run_trial_bundle(
-        std::span<const BundleTrial>(bundle), [](const WalkProcess& p) {
-          return p.cover().all_vertices_covered();
-        });
-  } else {
-    finished = run_trial_bundle(
-        std::span<const BundleTrial>(bundle), [](const WalkProcess& p) {
-          return p.cover().all_edges_covered();
-        });
-  }
-  for (std::uint32_t i = 0; i < width; ++i) {
-    if (finished[i]) {
-      samples[lo + i] = static_cast<double>(
-          target == CoverTarget::kVertices
-              ? walks[i]->cover().vertex_cover_step()
-              : walks[i]->cover().edge_cover_step());
-    } else {
-      uncovered.fetch_add(1, std::memory_order_relaxed);
-      samples[lo + i] = static_cast<double>(budgets[i]);
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<double> run_trials(std::uint32_t count, std::uint32_t threads,
                                std::uint64_t master_seed,
@@ -117,183 +39,166 @@ SummaryStats run_trials_summary(std::uint32_t count, std::uint32_t threads,
   return summarize(samples);
 }
 
-CoverExperimentResult measure_cover(const ProcessFactory& processes,
-                                    const GraphFactory& graphs,
-                                    const RunRequest& req) {
-  const CoverTarget target = cover_target_of(req);
-  if (req.bundle_width > 1 && req.trials > 1) {
-    // Bundled path: one scheduler task per bundle of `bundle_width`
-    // consecutive trials, each advanced round-robin in one interleaved
-    // loop (engine/bundle.hpp). Trial streams, construction order, and the
-    // per-trial check schedule are identical to the width-1 path, so the
-    // samples are too.
-    std::atomic<std::uint32_t> uncovered{0};
-    std::vector<Rng> streams = derive_streams(req.seed, req.trials);
-    std::vector<double> samples(req.trials, 0.0);
-    const std::uint32_t width = std::min(req.bundle_width, req.trials);
-    const std::uint32_t bundles = (req.trials + width - 1) / width;
-    std::uint32_t workers =
-        req.threads == 0 ? Executor::hardware_threads() : req.threads;
-    workers = std::min(workers, bundles);
-    const auto run_one = [&](std::uint32_t b) {
-      const std::uint32_t lo = b * width;
-      const std::uint32_t hi = std::min(lo + width, req.trials);
-      run_cover_bundle(processes, graphs, target, req.max_steps, streams, lo,
-                       hi, samples, uncovered);
-    };
-    if (workers <= 1) {
-      for (std::uint32_t b = 0; b < bundles; ++b) run_one(b);
-    } else {
-      TaskScope scope(workers);
-      for (std::uint32_t b = 0; b < bundles; ++b)
-        scope.spawn([&run_one, b] { run_one(b); });
-      scope.wait();
-    }
-    CoverExperimentResult out;
-    out.samples = std::move(samples);
-    out.stats = summarize(out.samples);
-    out.uncovered_trials = uncovered.load();
-    return out;
+TrialTarget::TrialTarget(CoverTarget cover)
+    : kind_(cover == CoverTarget::kEdges ? RunTarget::kEdges
+                                         : RunTarget::kVertices) {}
+
+TrialTarget::TrialTarget(RunTarget target, std::uint32_t tokens)
+    : kind_(target), tokens_(tokens) {
+  if (target == RunTarget::kAuto)
+    throw std::invalid_argument("TrialTarget: resolve RunTarget::kAuto first");
+}
+
+void TrialTarget::check(const WalkProcess& process) const {
+  if (kind_ == RunTarget::kCoalescence &&
+      dynamic_cast<const TokenProcess*>(&process) == nullptr)
+    throw std::invalid_argument(
+        "--target coalescence needs an interacting-token process");
+}
+
+std::vector<std::uint8_t> TrialTarget::run(
+    std::span<const BundleTrial> trials) const {
+  switch (kind_) {
+    case RunTarget::kEdges:
+      return run_trial_bundle(trials, [](const WalkProcess& p) {
+        return p.cover().all_edges_covered();
+      });
+    case RunTarget::kCoalescence:
+      return run_trial_bundle(trials, [k = tokens_](const WalkProcess& p) {
+        return static_cast<const TokenProcess&>(p).tokens_remaining() <= k;
+      });
+    case RunTarget::kAuto:
+    case RunTarget::kVertices:
+      break;
   }
-
-  std::atomic<std::uint32_t> uncovered{0};
-  auto samples = run_trials(
-      req.trials, req.threads, req.seed,
-      [&](Rng& rng, std::uint32_t) -> double {
-        const Graph g = graphs(rng);
-        auto walk = processes(g, rng);
-        const std::uint64_t budget =
-            req.max_steps != 0 ? req.max_steps : default_step_budget(g);
-        bool done;
-        std::uint64_t result;
-        if (target == CoverTarget::kVertices) {
-          done = run_until(*walk, rng, VertexCovered{}, budget);
-          result = walk->cover().vertex_cover_step();
-        } else {
-          done = run_until(*walk, rng, EdgesCovered{}, budget);
-          result = walk->cover().edge_cover_step();
-        }
-        if (!done) {
-          uncovered.fetch_add(1, std::memory_order_relaxed);
-          return static_cast<double>(budget);
-        }
-        return static_cast<double>(result);
-      });
-
-  CoverExperimentResult out;
-  out.samples = std::move(samples);
-  out.stats = summarize(out.samples);
-  out.uncovered_trials = uncovered.load();
-  return out;
+  return run_trial_bundle(trials, [](const WalkProcess& p) {
+    return p.cover().all_vertices_covered();
+  });
 }
 
-CoalescenceExperimentResult measure_coalescence(
-    const TokenProcessFactory& processes, const GraphFactory& graphs,
-    const RunRequest& req) {
-  std::atomic<std::uint32_t> unfinished{0};
-  std::vector<double> meetings(req.trials, 0.0);
-  auto samples = run_trials(
-      req.trials, req.threads, req.seed,
-      [&](Rng& rng, std::uint32_t trial) -> double {
-        const Graph g = graphs(rng);
-        auto process = processes(g, rng);
-        const std::uint64_t budget =
-            req.max_steps != 0 ? req.max_steps : default_step_budget(g);
-        const bool done = run_until_process(
-            *process, rng, TokensAtMost{req.target_tokens}, budget);
-        const std::uint64_t met = process->first_meeting_step();
-        meetings[trial] =
-            static_cast<double>(met != kNotCovered ? met : budget);
-        if (!done) {
-          unfinished.fetch_add(1, std::memory_order_relaxed);
-          return static_cast<double>(budget);
-        }
-        // With stride 1 the driver stops on the first step the population
-        // hits the target; for target 1 the recorded coalescence step is
-        // that same step.
-        return static_cast<double>(req.target_tokens <= 1
-                                       ? process->coalescence_step()
-                                       : process->steps());
-      });
-
-  CoalescenceExperimentResult out;
-  out.samples = std::move(samples);
-  out.stats = summarize(out.samples);
-  out.meeting_samples = std::move(meetings);
-  out.meeting_stats = summarize(out.meeting_samples);
-  out.unfinished_trials = unfinished.load();
-  return out;
+std::uint64_t TrialTarget::result_step(const WalkProcess& process) const {
+  switch (kind_) {
+    case RunTarget::kEdges:
+      return process.cover().edge_cover_step();
+    case RunTarget::kCoalescence:
+      return tokens_ <= 1
+                 ? static_cast<const TokenProcess&>(process).coalescence_step()
+                 : process.steps();
+    case RunTarget::kAuto:
+    case RunTarget::kVertices:
+      break;
+  }
+  return process.cover().vertex_cover_step();
 }
 
-CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
-                                             const RuleFactory& rules,
-                                             const RunRequest& req) {
-  return measure_cover(
-      [&rules](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
-        return std::make_unique<EProcessHandle>(g, /*start=*/0, rules(g));
-      },
-      graphs, req);
+std::uint64_t TrialTarget::first_meeting(const WalkProcess& process) const {
+  return kind_ == RunTarget::kCoalescence
+             ? static_cast<const TokenProcess&>(process).first_meeting_step()
+             : kNotCovered;
 }
 
-CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
-                                        const RunRequest& req) {
-  return measure_cover(
-      [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
-        return std::make_unique<SimpleRandomWalk>(g, /*start=*/0);
-      },
-      graphs, req);
-}
+std::vector<TrialOutcome> run_target_trials(const RunRequest& req,
+                                            const TrialTarget& target,
+                                            const TrialBuilder& build) {
+  std::vector<Rng> streams = derive_streams(req.seed, req.trials);
+  std::vector<TrialOutcome> outcomes(req.trials);
+  const std::uint32_t width = std::max(1u, req.bundle_width);
 
-// ---- Deprecated config-struct forwarders (one release) ---------------------
+  // Trials [lo, hi) as one bundle, built in ascending order from their own
+  // streams; every trial is checked at every step, as run_until would.
+  const auto run_bundle = [&](std::uint32_t lo, std::uint32_t hi) {
+    std::vector<TrialSetup> setups;
+    setups.reserve(hi - lo);
+    std::vector<BundleTrial> bundle;
+    bundle.reserve(hi - lo);
+    for (std::uint32_t t = lo; t < hi; ++t) {
+      setups.push_back(build(streams[t]));
+      WalkProcess& process = *setups.back().process;
+      target.check(process);
+      outcomes[t].budget = req.max_steps != 0
+                               ? req.max_steps
+                               : default_step_budget(process.graph());
+      bundle.push_back(BundleTrial{&process, &streams[t], outcomes[t].budget, 1});
+    }
+    const std::vector<std::uint8_t> finished = target.run(bundle);
+    for (std::uint32_t t = lo; t < hi; ++t) {
+      const WalkProcess& process = *setups[t - lo].process;
+      TrialOutcome& out = outcomes[t];
+      out.done = finished[t - lo] != 0;
+      out.result_step = target.result_step(process);
+      out.steps = process.steps();
+      out.first_meeting = target.first_meeting(process);
+    }
+  };
+
+  const std::uint32_t bundles = (req.trials + width - 1) / width;
+  std::uint32_t workers =
+      req.threads == 0 ? Executor::hardware_threads() : req.threads;
+  workers = std::min(workers, bundles);
+  if (workers <= 1) {
+    for (std::uint32_t lo = 0; lo < req.trials; lo += width)
+      run_bundle(lo, std::min(lo + width, req.trials));
+    return outcomes;
+  }
+  // One scheduler task per bundle; the scope cap keeps at most `workers`
+  // threads on this call.
+  TaskScope scope(workers);
+  for (std::uint32_t lo = 0; lo < req.trials; lo += width)
+    scope.spawn([&run_bundle, lo, hi = std::min(lo + width, req.trials)] {
+      run_bundle(lo, hi);
+    });
+  scope.wait();
+  return outcomes;
+}
 
 namespace {
 
-RunRequest to_request(const CoverExperimentConfig& config) {
-  RunRequest req;
-  req.trials = config.trials;
-  req.threads = config.threads;
-  req.seed = config.master_seed;
-  req.max_steps = config.max_steps;
-  req.target = config.target == CoverTarget::kEdges ? RunTarget::kEdges
-                                                    : RunTarget::kVertices;
-  req.bundle_width = config.bundle_width;
-  return req;
-}
-
-RunRequest to_request(const CoalescenceExperimentConfig& config) {
-  RunRequest req;
-  req.trials = config.trials;
-  req.threads = config.threads;
-  req.seed = config.master_seed;
-  req.max_steps = config.max_steps;
-  req.target = RunTarget::kCoalescence;
-  req.target_tokens = config.target_tokens;
-  return req;
+// A fresh graph per trial from `graphs`, then the process on it, both from
+// the trial's stream.
+template <typename Factory>
+TrialBuilder fresh_graph_trials(const Factory& processes,
+                                const GraphFactory& graphs) {
+  return [&processes, &graphs](Rng& rng) {
+    TrialSetup setup{std::make_unique<Graph>(graphs(rng)), nullptr};
+    setup.process = processes(*setup.graph, rng);
+    return setup;
+  };
 }
 
 }  // namespace
 
 CoverExperimentResult measure_cover(const ProcessFactory& processes,
                                     const GraphFactory& graphs,
-                                    const CoverExperimentConfig& config) {
-  return measure_cover(processes, graphs, to_request(config));
-}
-
-CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
-                                             const RuleFactory& rules,
-                                             const CoverExperimentConfig& config) {
-  return measure_eprocess_cover(graphs, rules, to_request(config));
-}
-
-CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
-                                        const CoverExperimentConfig& config) {
-  return measure_srw_cover(graphs, to_request(config));
+                                    const RunRequest& req) {
+  if (req.target == RunTarget::kCoalescence)
+    throw std::invalid_argument(
+        "measure_cover: target coalescence needs measure_coalescence");
+  const TrialTarget target(req.target == RunTarget::kEdges ? CoverTarget::kEdges
+                                                           : CoverTarget::kVertices);
+  CoverExperimentResult out;
+  for (const TrialOutcome& trial :
+       run_target_trials(req, target, fresh_graph_trials(processes, graphs))) {
+    out.samples.push_back(trial.sample());
+    if (!trial.done) ++out.uncovered_trials;
+  }
+  out.stats = summarize(out.samples);
+  return out;
 }
 
 CoalescenceExperimentResult measure_coalescence(
     const TokenProcessFactory& processes, const GraphFactory& graphs,
-    const CoalescenceExperimentConfig& config) {
-  return measure_coalescence(processes, graphs, to_request(config));
+    const RunRequest& req) {
+  const TrialTarget target(RunTarget::kCoalescence, req.target_tokens);
+  CoalescenceExperimentResult out;
+  for (const TrialOutcome& trial :
+       run_target_trials(req, target, fresh_graph_trials(processes, graphs))) {
+    out.samples.push_back(trial.sample());
+    out.meeting_samples.push_back(trial.meeting_sample());
+    if (!trial.done) ++out.unfinished_trials;
+  }
+  out.stats = summarize(out.samples);
+  out.meeting_stats = summarize(out.meeting_samples);
+  return out;
 }
 
 }  // namespace ewalk

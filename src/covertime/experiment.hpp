@@ -5,35 +5,35 @@
 //   * run_trials — generic parallel trial executor with per-trial
 //     deterministic RNG streams (bit-reproducible regardless of thread
 //     scheduling);
+//   * TrialTarget + run_target_trials — the one trial loop: every trial a
+//     harness runs (here, in execute_run, and in the sweep's units) reaches
+//     its target through run_trial_bundle (engine/bundle.hpp), width 1
+//     being a bundle of one;
 //   * measure_cover — the one cover-time experiment: any WalkProcess
 //     factory, any graph factory, vertex or edge target;
-//   * measure_eprocess_cover / measure_srw_cover — thin wrappers over
-//     measure_cover for the two walks the paper benchmarks head-to-head;
 //   * measure_coalescence — the interacting-walker mirror of measure_cover:
 //     any TokenProcess factory, driven to a token-population target,
 //     reporting coalescence and first-meeting times.
 //
-// Configuration: both experiments are configured by the canonical
+// Configuration: every experiment is configured by the canonical
 // RunRequest (serve/request.hpp) — the same struct the CLI and the ewalkd
 // server construct, so every surface agrees on field names and defaults.
-// The legacy CoverExperimentConfig / CoalescenceExperimentConfig overloads
-// survive one release as thin forwarders; migrate by renaming
-// `master_seed` -> `seed` and (for coalescence) keeping `target_tokens`.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "engine/bundle.hpp"
 #include "engine/process.hpp"
 #include "engine/token_process.hpp"
 #include "graph/graph.hpp"
 #include "serve/request.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "walks/eprocess.hpp"
 
 namespace ewalk {
 
@@ -61,34 +61,96 @@ enum class CoverTarget : std::uint8_t { kVertices, kEdges };
 /// random regular graph per experiment).
 using GraphFactory = std::function<Graph(Rng&)>;
 
-/// Factory producing a fresh rule per trial (rules can be stateful).
-using RuleFactory = std::function<std::unique_ptr<UnvisitedEdgeRule>(const Graph&)>;
-
 /// Factory producing a fresh walk process per trial. The rng is the trial's
 /// private stream — construction-time draws (e.g. a priority rule's
-/// permutation) come out of the same stream the walk is then driven with,
-/// exactly as the legacy typed wrappers did.
+/// permutation) come out of the same stream the walk is then driven with.
 using ProcessFactory =
     std::function<std::unique_ptr<WalkProcess>(const Graph&, Rng&)>;
 
-/// \deprecated Legacy cover-experiment configuration; superseded by the
-/// canonical RunRequest (serve/request.hpp), which every surface now
-/// constructs. Kept one release as a forwarding shim — migrate by renaming
-/// `master_seed` to `seed` (the other fields map one-to-one).
-struct CoverExperimentConfig {
-  std::uint32_t trials = 5;      ///< the paper used 5 per data point
-  std::uint32_t threads = 0;     ///< 0 = hardware concurrency
-  std::uint64_t master_seed = 1; ///< root of every per-trial stream
-  std::uint64_t max_steps = 0;   ///< 0 = default_step_budget(g) (engine/budget.hpp)
-  CoverTarget target = CoverTarget::kVertices;  ///< what each trial measures
-  /// Trials interleaved per scheduler task (engine/bundle.hpp): <= 1 runs
-  /// each trial as its own task (the historical path); W > 1 packs W
-  /// consecutive trials into one round-robin bundle that hides DRAM latency
-  /// on large graphs. Samples are bit-identical for every width — each
-  /// trial keeps its own (master_seed, trial) stream and its sequential
-  /// check schedule.
-  std::uint32_t bundle_width = 1;
+// ---- The trial kernel ------------------------------------------------------
+
+/// What a trial is driven to: vertex cover, edge cover, or a token
+/// population of at most `tokens`. It supplies the bundle predicate and the
+/// step a finished trial reports, and it is the one place a WalkProcess is
+/// read as a TokenProcess — check() verifies the kind once per trial, so
+/// the per-step predicate never casts dynamically.
+class TrialTarget {
+ public:
+  /// Vertex or edge cover.
+  explicit TrialTarget(CoverTarget cover);
+  /// A resolved run target; kCoalescence stops once at most `tokens`
+  /// tokens remain. kAuto throws std::invalid_argument (resolve it first).
+  TrialTarget(RunTarget target, std::uint32_t tokens);
+
+  /// Throws std::invalid_argument unless `process` can reach this target:
+  /// a token target needs a TokenProcess.
+  void check(const WalkProcess& process) const;
+
+  /// Drives the trials to this target through one run_trial_bundle call,
+  /// each on its own BundleTrial budget and check stride. Returns one flag
+  /// per trial, 1 iff the target was reached.
+  std::vector<std::uint8_t> run(std::span<const BundleTrial> trials) const;
+
+  /// The step a finished trial reports: the vertex or edge cover step; for
+  /// a token target the coalescence step when `tokens` <= 1, else the
+  /// step the population reached the target (with stride-1 checks, the
+  /// process's step count when it stopped).
+  std::uint64_t result_step(const WalkProcess& process) const;
+
+  /// First meeting step of a token target's process (kNotCovered when no
+  /// tokens met); kNotCovered for cover targets.
+  std::uint64_t first_meeting(const WalkProcess& process) const;
+
+ private:
+  RunTarget kind_;            // kVertices, kEdges or kCoalescence
+  std::uint32_t tokens_ = 1;  // population threshold of kCoalescence
 };
+
+/// One trial as built from its private stream: the process to drive and,
+/// when the trial draws its own graph, that graph (the process points
+/// into it, so it must stay where the unique_ptr put it).
+struct TrialSetup {
+  std::unique_ptr<Graph> graph;          ///< the trial's own graph; null when shared
+  std::unique_ptr<WalkProcess> process;  ///< the walk to drive
+};
+
+/// Builds one trial from its private stream (graph draws first, then the
+/// process's construction-time draws, then the walk).
+using TrialBuilder = std::function<TrialSetup(Rng&)>;
+
+/// What one trial of run_target_trials did.
+struct TrialOutcome {
+  bool done = false;             ///< the target was reached within the budget
+  std::uint64_t result_step = 0; ///< TrialTarget::result_step (meaningful when done)
+  std::uint64_t budget = 0;      ///< the trial's step budget
+  std::uint64_t steps = 0;       ///< transitions made
+  std::uint64_t first_meeting = kNotCovered;  ///< TrialTarget::first_meeting
+
+  /// The trial's sample: the result step, or the budget when unfinished.
+  double sample() const {
+    return static_cast<double>(done ? result_step : budget);
+  }
+  /// The first-meeting sample: the meeting step, or the budget when no
+  /// tokens met.
+  double meeting_sample() const {
+    return static_cast<double>(first_meeting != kNotCovered ? first_meeting
+                                                            : budget);
+  }
+};
+
+/// The one trial loop every harness shares. Derives trial t's stream from
+/// (req.seed, t) (derive_streams), builds each trial through `build`,
+/// checks it against `target`, packs consecutive trials into bundles of
+/// max(1, req.bundle_width), and runs one TaskScope task per bundle with
+/// at most req.threads threads (0 = hardware). Each trial's budget is
+/// req.max_steps, or default_step_budget of its process's graph when 0, and
+/// it is checked every step. Outcomes come back in trial order and are
+/// bit-identical for every bundle width and thread count: a trial's
+/// trajectory depends only on its own stream. Exceptions thrown by `build`
+/// or check() propagate.
+std::vector<TrialOutcome> run_target_trials(const RunRequest& req,
+                                            const TrialTarget& target,
+                                            const TrialBuilder& build);
 
 /// Cover-time samples over `trials` fresh (graph, process) pairs. Trials
 /// that fail to cover within max_steps contribute max_steps (and are
@@ -100,7 +162,7 @@ struct CoverExperimentResult {
 };
 
 /// The one generic cover experiment: a fresh graph and process per trial,
-/// driven by the engine's run_until to the request's target. Consumes the
+/// driven by run_target_trials to the request's target. Consumes the
 /// run-scheduling fields of `req` (trials, threads, seed, max_steps,
 /// target, bundle_width); registry/protocol fields (graph, process, params,
 /// id) are ignored here — factories already bound them. RunTarget::kAuto
@@ -110,48 +172,12 @@ CoverExperimentResult measure_cover(const ProcessFactory& processes,
                                     const GraphFactory& graphs,
                                     const RunRequest& req);
 
-/// E-process convenience wrapper: walk started at vertex 0 with a fresh
-/// rule per trial.
-CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
-                                             const RuleFactory& rules,
-                                             const RunRequest& req);
-
-/// Same, for the simple random walk.
-CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
-                                        const RunRequest& req);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_cover(const ProcessFactory& processes,
-                                    const GraphFactory& graphs,
-                                    const CoverExperimentConfig& config);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
-                                             const RuleFactory& rules,
-                                             const CoverExperimentConfig& config);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
-                                        const CoverExperimentConfig& config);
-
 // ---- Coalescence experiments (interacting walkers) ------------------------
 
 /// Factory producing a fresh interacting-token process per trial; the rng is
 /// the trial's private stream, exactly as for ProcessFactory.
 using TokenProcessFactory =
     std::function<std::unique_ptr<TokenProcess>(const Graph&, Rng&)>;
-
-/// \deprecated Legacy coalescence configuration; superseded by the
-/// canonical RunRequest (serve/request.hpp). Kept one release as a
-/// forwarding shim — migrate by renaming `master_seed` to `seed`
-/// (`target_tokens` keeps its name).
-struct CoalescenceExperimentConfig {
-  std::uint32_t trials = 5;         ///< samples to draw
-  std::uint32_t threads = 0;        ///< 0 = hardware concurrency
-  std::uint64_t master_seed = 1;    ///< root of every per-trial stream
-  std::uint64_t max_steps = 0;      ///< 0 = default_step_budget(g)
-  std::uint32_t target_tokens = 1;  ///< stop once population <= this
-};
 
 /// Coalescence-time samples over `trials` fresh (graph, process) pairs.
 /// Trials whose population fails to reach the target within max_steps
@@ -167,17 +193,12 @@ struct CoalescenceExperimentResult {
 };
 
 /// The interacting-walker mirror of measure_cover: a fresh graph and token
-/// process per trial, driven by the engine's run_until_process to the
-/// population target. Consumes trials, threads, seed, max_steps, and
+/// process per trial, driven by run_target_trials to the population
+/// target. Consumes trials, threads, seed, max_steps, bundle_width and
 /// target_tokens of `req`; the target enum is ignored (this experiment is
 /// always a coalescence run).
 CoalescenceExperimentResult measure_coalescence(
     const TokenProcessFactory& processes, const GraphFactory& graphs,
     const RunRequest& req);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoalescenceExperimentResult measure_coalescence(
-    const TokenProcessFactory& processes, const GraphFactory& graphs,
-    const CoalescenceExperimentConfig& config);
 
 }  // namespace ewalk

@@ -23,6 +23,11 @@
 // after another. Bundling changes wall-clock only — pinned by
 // tests/bundle_test.cpp and the sweep/covertime width-invariance tests.
 //
+// This is the one trial kernel: every harness trial (run_target_trials in
+// covertime/experiment.hpp, the sweep's units) reaches its target here. A
+// width-1 run is a bundle of one, and the single-live loop in drive_bundle
+// steps it without per-round bookkeeping.
+//
 // Devirtualisation: bundles whose processes are all SimpleRandomWalk, all
 // EProcessHandle, or all MultiEProcessHandle (the hot cases — that is what
 // the covertime and sweep drivers build) run a typed loop whose step,
@@ -74,32 +79,39 @@ struct LiveTrial {
 /// relative order of survivors is preserved, so the interleave pattern is
 /// deterministic. Predicate checks replay run_until_process's schedule per
 /// trial: at every `stride` transitions and at the budget, predicate before
-/// budget.
+/// budget. Once a single trial is live (a bundle of one, or the last
+/// survivor of a wider bundle) it runs in a tight loop with no per-round
+/// compaction; its check schedule is the same.
 template <typename Predicate, typename StepFn>
 void drive_bundle(std::vector<LiveTrial>& live,
                   std::vector<std::uint8_t>& finished,
                   const Predicate& predicate, const StepFn& step_one) {
-  while (!live.empty()) {
+  // One transition of `t` plus its scheduled check; true once t retires.
+  const auto advance = [&](LiveTrial& t) {
+    step_one(t);
+    ++t.steps;
+    if (t.steps < t.next_check) return false;
+    if (predicate(*t.process)) {
+      finished[t.index] = 1;
+      return true;
+    }
+    if (t.steps >= t.max_steps) return true;
+    t.next_check = t.steps + std::min(t.stride, t.max_steps - t.steps);
+    return false;
+  };
+  while (live.size() > 1) {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < live.size(); ++i) {
       LiveTrial t = live[i];
-      step_one(t);
-      ++t.steps;
-      bool retired = false;
-      if (t.steps >= t.next_check) {
-        if (predicate(*t.process)) {
-          finished[t.index] = 1;
-          retired = true;
-        } else if (t.steps >= t.max_steps) {
-          retired = true;
-        } else {
-          t.next_check = t.steps + std::min(t.stride, t.max_steps - t.steps);
-        }
-      }
-      if (!retired) live[keep++] = t;
+      if (!advance(t)) live[keep++] = t;
     }
     live.resize(keep);
   }
+  if (live.empty()) return;
+  LiveTrial last = live.front();
+  while (!advance(last)) {
+  }
+  live.clear();
 }
 
 }  // namespace bundle_detail

@@ -1,12 +1,10 @@
 #include "serve/request.hpp"
 
-#include <atomic>
 #include <numeric>
 #include <stdexcept>
 
 #include "covertime/experiment.hpp"
 #include "engine/budget.hpp"
-#include "engine/driver.hpp"
 #include "engine/registry.hpp"
 #include "engine/token_process.hpp"
 #include "graph/algorithms.hpp"
@@ -57,64 +55,6 @@ RunRequest run_request_from_params(const ParamMap& params) {
   return req;
 }
 
-namespace {
-
-// The trial phase shared by every target: one registry-constructed process
-// per trial on the shared graph, driven to the resolved target — the exact
-// loop tools/ewalk_cli.cpp ran before this module existed, so CLI and
-// server samples are bit-identical by construction.
-void run_request_trials(const RunRequest& req, const Graph& g,
-                        RunResult& out) {
-  const bool coalescence = out.target == RunTarget::kCoalescence;
-  const bool edges = out.target == RunTarget::kEdges;
-  const std::uint64_t budget =
-      req.max_steps != 0 ? req.max_steps : default_step_budget(g);
-  out.budget = budget;
-  std::vector<double> steps(req.trials, 0.0);
-  std::vector<double> meetings(req.trials, 0.0);
-  std::atomic<std::uint32_t> unfinished{0};
-  WallTimer timer;
-  out.samples = run_trials(
-      req.trials, req.threads, req.seed,
-      [&](Rng& rng, std::uint32_t t) -> double {
-        auto walk =
-            ProcessRegistry::instance().create(req.process, g, req.params, rng);
-        bool done;
-        std::uint64_t result_step;
-        if (coalescence) {
-          auto& tokens = dynamic_cast<TokenProcess&>(*walk);
-          done = run_until_process(tokens, rng,
-                                   TokensAtMost{req.target_tokens}, budget);
-          result_step = req.target_tokens <= 1 ? tokens.coalescence_step()
-                                               : tokens.steps();
-          const std::uint64_t met = tokens.first_meeting_step();
-          meetings[t] = static_cast<double>(met != kNotCovered ? met : budget);
-        } else if (edges) {
-          done = run_until(*walk, rng, EdgesCovered{}, budget);
-          result_step = walk->cover().edge_cover_step();
-        } else {
-          done = run_until(*walk, rng, VertexCovered{}, budget);
-          result_step = walk->cover().vertex_cover_step();
-        }
-        if (!done) unfinished.fetch_add(1, std::memory_order_relaxed);
-        steps[t] = static_cast<double>(walk->steps());
-        // Unfinished trials contribute the budget, as measure_cover does.
-        return static_cast<double>(done ? result_step : budget);
-      });
-  out.wall_seconds = timer.seconds();
-  out.stats = summarize(out.samples);
-  out.unfinished = unfinished.load();
-  out.step_samples = std::move(steps);
-  out.total_steps = std::accumulate(out.step_samples.begin(),
-                                    out.step_samples.end(), 0.0);
-  if (coalescence) {
-    out.meeting_samples = std::move(meetings);
-    out.meeting_stats = summarize(out.meeting_samples);
-  }
-}
-
-}  // namespace
-
 RunResult execute_run(const RunRequest& req, GraphStore* store) {
   RunResult out;
   out.id = req.id;
@@ -143,21 +83,46 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     // Resolve the target from a probe construction, exactly as the CLI did:
     // token processes default to coalescence, and a coalescence target on a
     // non-token process is rejected on this thread, not inside a worker.
-    RunTarget target = req.target;
     {
       Rng probe_rng(req.seed);
       auto probe =
           ProcessRegistry::instance().create(req.process, g, req.params, probe_rng);
-      const bool is_token = dynamic_cast<TokenProcess*>(probe.get()) != nullptr;
-      if (target == RunTarget::kAuto)
-        target = is_token ? RunTarget::kCoalescence : RunTarget::kVertices;
-      if (target == RunTarget::kCoalescence && !is_token)
-        throw std::invalid_argument(
-            "--target coalescence needs an interacting-token process");
+      out.target = req.target;
+      if (out.target == RunTarget::kAuto)
+        out.target = dynamic_cast<TokenProcess*>(probe.get()) != nullptr
+                         ? RunTarget::kCoalescence
+                         : RunTarget::kVertices;
+      TrialTarget(out.target, req.target_tokens).check(*probe);
     }
-    out.target = target;
 
-    run_request_trials(req, g, out);
+    // The trial phase: one registry-constructed process per trial on the
+    // shared graph, driven by the one trial loop (run_target_trials) — so
+    // CLI and server samples are bit-identical by construction.
+    out.budget = req.max_steps != 0 ? req.max_steps : default_step_budget(g);
+    // Reserved before the trials allocate: filled after they free, these
+    // would otherwise split the freed trial memory, and glibc would keep it
+    // fragmented across repeated runs (peak RSS grew by one process array).
+    out.samples.reserve(req.trials);
+    out.step_samples.reserve(req.trials);
+    out.meeting_samples.reserve(req.trials);
+    WallTimer timer;
+    const std::vector<TrialOutcome> trials = run_target_trials(
+        req, TrialTarget(out.target, req.target_tokens), [&](Rng& rng) {
+          return TrialSetup{nullptr, ProcessRegistry::instance().create(
+                                         req.process, g, req.params, rng)};
+        });
+    out.wall_seconds = timer.seconds();
+    const bool coalescence = out.target == RunTarget::kCoalescence;
+    for (const TrialOutcome& trial : trials) {
+      out.samples.push_back(trial.sample());
+      out.step_samples.push_back(static_cast<double>(trial.steps));
+      if (coalescence) out.meeting_samples.push_back(trial.meeting_sample());
+      if (!trial.done) ++out.unfinished;
+    }
+    out.stats = summarize(out.samples);
+    out.total_steps = std::accumulate(out.step_samples.begin(),
+                                      out.step_samples.end(), 0.0);
+    if (coalescence) out.meeting_stats = summarize(out.meeting_samples);
 
     if (req.analysis) {
       bool hit = false;

@@ -2,19 +2,15 @@
 // experiment, shared by the `ewalk` CLI, the `ewalkd` server, and the
 // programmatic harnesses.
 //
-// Before this module the three surfaces drifted: the CLI plumbed an ad-hoc
-// flag map, measure_cover took CoverExperimentConfig, measure_coalescence
-// took CoalescenceExperimentConfig, and a server would have needed a fourth
-// shape. RunRequest is now the single config struct all of them construct;
-// the experiment harness accepts it directly (covertime/experiment.hpp) and
-// the old config structs survive one release as deprecated forwarders.
+// RunRequest is the single config struct all of them construct; the
+// experiment harness accepts it directly (covertime/experiment.hpp).
 //
 // Determinism contract: execute_run(req) returns samples that are
 // bit-identical to the equivalent `ewalk` CLI invocation for any cache
-// state, thread count, and request arrival order. The graph is built with
-// Rng(req.seed) (or fetched from a GraphStore, whose entries were built the
-// same way), and trial t's stream is a pure function of (req.seed, t) via
-// run_trials — nothing depends on scheduling.
+// state, thread count, bundle width, and request arrival order. The graph
+// is built with Rng(req.seed) (or fetched from a GraphStore, whose entries
+// were built the same way), and trial t's stream is a pure function of
+// (req.seed, t) via run_target_trials — nothing depends on scheduling.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +57,7 @@ struct RunRequest {
   std::uint64_t max_steps = 0;    ///< per-trial budget; 0 = default_step_budget
   RunTarget target = RunTarget::kAuto;  ///< what each trial measures
   std::uint32_t target_tokens = 1;      ///< coalescence: stop at <= this many
-  std::uint32_t bundle_width = 1; ///< trials interleaved per task (measure_cover)
+  std::uint32_t bundle_width = 1; ///< trials interleaved per task (--bundle)
   bool analysis = false;          ///< include the cached GraphAnalysis block
 };
 
@@ -96,8 +92,9 @@ RunRequest run_request_from_params(const ParamMap& params);
 
 /// Executes a run: graph from `store` (or a private construction when
 /// `store` is null), target resolved via a probe process, then
-/// `req.trials` trials through run_trials with per-trial streams derived
-/// from req.seed. Never throws — failures come back as ok == false with
+/// `req.trials` trials through run_target_trials (bundles of
+/// req.bundle_width) with per-trial streams derived from req.seed. Never
+/// throws — failures come back as ok == false with
 /// the exception message in `error`, so one bad request cannot kill a
 /// serving daemon.
 RunResult execute_run(const RunRequest& req, GraphStore* store = nullptr);

@@ -5,12 +5,8 @@
 #include <map>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <span>
 
 #include "engine/budget.hpp"
-#include "engine/bundle.hpp"
-#include "engine/driver.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -125,108 +121,85 @@ SweepResult run_sweep(const std::string& name,
 
   WallTimer sweep_timer;  // the epoch every recorded span is relative to
 
-  const auto run_series = [&](std::size_t p, std::uint32_t t, std::size_t s,
-                              const Graph* shared_graph) {
+  // Series s of trials [lo, hi) of point p as one bundle: each trial's
+  // process is built from its own role streams (on the shared graph, or on
+  // a private graph drawn here when reuse is off) and all of them advance
+  // together through TrialTarget::run (run_trial_bundle) with the stride-1
+  // check schedule. The bundle is one interleaved run, so it is one busy
+  // span: the lead cell carries it; the other cells are zero-span points
+  // at the bundle's end, so each still counts one series completion in the
+  // timeline.
+  const auto run_series = [&](std::size_t p, std::uint32_t lo,
+                              std::uint32_t hi, std::size_t s,
+                              const std::vector<Graph>& shared) {
     const SweepPoint& point = points[p];
-    const SweepSeriesSpec& spec = point.series[s];
-    SeriesCell& cell = records[p][t].cells[s];
-    cell.thread = Executor::timing_slot();
-    cell.t_start = sweep_timer.seconds();
-    Graph local;
-    const Graph* g;
-    if (shared_graph != nullptr) {
-      g = shared_graph;
-    } else {
-      Rng graph_rng = sweep_stream(config.master_seed, p, t, 2 * s + 2);
-      WallTimer gen_timer;
-      local = point.graph(graph_rng);
-      cell.gen_seconds = gen_timer.seconds();
-      g = &local;
+    const TrialTarget target(point.series[s].target);
+    const std::uint32_t width = hi - lo;
+    const double series_start = sweep_timer.seconds();
+    // Processes hold Graph* and BundleTrial holds Rng*: reserve so the
+    // backing storage never reallocates under them.
+    std::vector<Graph> privates;
+    std::vector<Rng> walk_rngs;
+    std::vector<std::unique_ptr<WalkProcess>> walks;
+    if (!config.reuse_graph) privates.reserve(width);
+    walk_rngs.reserve(width);
+    walks.reserve(width);
+    std::vector<BundleTrial> bundle(width);
+    for (std::uint32_t i = 0; i < width; ++i) {
+      const std::uint32_t t = lo + i;
+      SeriesCell& cell = records[p][t].cells[s];
+      cell.thread = Executor::timing_slot();
+      const Graph* g;
+      if (config.reuse_graph) {
+        g = &shared[i];
+      } else {
+        Rng graph_rng = sweep_stream(config.master_seed, p, t, 2 * s + 2);
+        WallTimer gen_timer;
+        privates.push_back(point.graph(graph_rng));
+        cell.gen_seconds = gen_timer.seconds();
+        g = &privates.back();
+      }
+      walk_rngs.push_back(sweep_stream(config.master_seed, p, t, 2 * s + 1));
+      walks.push_back(point.series[s].process(*g, walk_rngs.back()));
+      const std::uint64_t budget =
+          point.max_steps != 0 ? point.max_steps : default_step_budget(*g);
+      bundle[i] = BundleTrial{walks.back().get(), &walk_rngs.back(), budget, 1};
     }
-    Rng walk_rng = sweep_stream(config.master_seed, p, t, 2 * s + 1);
-    auto walk = spec.process(*g, walk_rng);
-    const std::uint64_t budget =
-        point.max_steps != 0 ? point.max_steps : default_step_budget(*g);
     WallTimer walk_timer;
-    bool done_walk;
-    std::uint64_t result_step;
-    if (spec.target == CoverTarget::kVertices) {
-      done_walk = run_until(*walk, walk_rng, VertexCovered{}, budget);
-      result_step = walk->cover().vertex_cover_step();
-    } else {
-      done_walk = run_until(*walk, walk_rng, EdgesCovered{}, budget);
-      result_step = walk->cover().edge_cover_step();
+    const std::vector<std::uint8_t> finished = target.run(bundle);
+    const double walk_secs = walk_timer.seconds();
+    const double series_end = sweep_timer.seconds();
+    for (std::uint32_t i = 0; i < width; ++i) {
+      SeriesCell& cell = records[p][lo + i].cells[s];
+      cell.ran = true;
+      cell.covered = finished[i] != 0;
+      cell.value = static_cast<double>(cell.covered
+                                           ? target.result_step(*walks[i])
+                                           : bundle[i].max_steps);
+      cell.walk_seconds = i == 0 ? walk_secs : 0.0;
+      cell.t_start = i == 0 ? series_start : series_end;
+      cell.t_end = series_end;
     }
-    cell.walk_seconds = walk_timer.seconds();
-    cell.covered = done_walk;
-    cell.ran = true;
-    cell.value = static_cast<double>(done_walk ? result_step : budget);
-    cell.t_end = sweep_timer.seconds();
   };
 
-  const auto run_unit = [&](std::size_t p, std::uint32_t t,
+  // One scheduler unit: trials [lo, hi) of point p — a bundle of one on the
+  // width-1 schedule. Per trial (ascending) the shared graph is built from
+  // its role-0 stream; then the open series run, fanned out one level
+  // deeper when several are open on a parallel sweep. Streams and check
+  // schedules do not depend on the width, so samples are bit-identical for
+  // every width; only the wall-clock bookkeeping reflects the bundling: the
+  // unit's first trial record is its lead, so the straggler report counts
+  // units, not trials.
+  const auto run_unit = [&](std::size_t p, std::uint32_t lo, std::uint32_t hi,
                             const std::vector<std::uint8_t>& mask) {
     const SweepPoint& point = points[p];
-    UnitRecord& rec = records[p][t];
-    rec.cells.resize(point.series.size());
-    rec.t_start = sweep_timer.seconds();
-
-    std::optional<Graph> shared;
-    if (config.reuse_graph) {
-      Rng graph_rng = sweep_stream(config.master_seed, p, t, 0);
-      rec.gen_thread = Executor::timing_slot();
-      rec.gen_t_start = sweep_timer.seconds();
-      WallTimer gen_timer;
-      shared.emplace(point.graph(graph_rng));
-      rec.gen_seconds = gen_timer.seconds();
-      rec.gen_t_end = sweep_timer.seconds();
-    }
-    const Graph* shared_graph = shared ? &*shared : nullptr;
-
-    std::uint32_t to_run = 0;
-    for (std::size_t s = 0; s < point.series.size(); ++s)
-      if (mask[s]) ++to_run;
-    if (parallel && to_run > 1) {
-      // Nested fan-out: the shared graph lives in this frame until the
-      // scope wait returns, so series subtasks may reference it freely.
-      TaskScope series_scope;
-      for (std::size_t s = 0; s < point.series.size(); ++s)
-        if (mask[s])
-          series_scope.spawn(
-              [&run_series, p, t, s, shared_graph] {
-                run_series(p, t, s, shared_graph);
-              });
-      series_scope.wait();
-    } else {
-      for (std::size_t s = 0; s < point.series.size(); ++s)
-        if (mask[s]) run_series(p, t, s, shared_graph);
-    }
-    rec.t_end = sweep_timer.seconds();
-  };
-
-  // One bundle of consecutive trials of one point, run as ONE scheduler
-  // unit: per trial (ascending order) the shared graph is built from its
-  // role-0 stream exactly as run_unit does, then each open series builds
-  // every bundled trial's process from its own role streams and advances
-  // all of them round-robin through run_trial_bundle (engine/bundle.hpp).
-  // Streams and the per-trial stride-1 check schedule are identical to the
-  // width-1 path, so samples are bit-identical for every bundle width; only
-  // the wall-clock bookkeeping differs (the bundle is one unit — its first
-  // trial's record carries the unit span and the series busy span, so the
-  // straggler report counts bundles and the timeline never multi-counts the
-  // interleaved run).
-  const auto run_bundle_unit = [&](std::size_t p, std::uint32_t lo,
-                                   std::uint32_t hi,
-                                   const std::vector<std::uint8_t>& mask) {
-    const SweepPoint& point = points[p];
-    const std::uint32_t width = hi - lo;
-    const double bundle_start = sweep_timer.seconds();
+    const double unit_start = sweep_timer.seconds();
     std::vector<Graph> shared;
-    if (config.reuse_graph) shared.reserve(width);
+    if (config.reuse_graph) shared.reserve(hi - lo);
     for (std::uint32_t t = lo; t < hi; ++t) {
       UnitRecord& rec = records[p][t];
       rec.cells.resize(point.series.size());
-      rec.t_start = bundle_start;
+      rec.t_start = unit_start;
       rec.unit_lead = t == lo;
       if (config.reuse_graph) {
         Rng graph_rng = sweep_stream(config.master_seed, p, t, 0);
@@ -238,75 +211,24 @@ SweepResult run_sweep(const std::string& name,
         rec.gen_t_end = sweep_timer.seconds();
       }
     }
-    for (std::size_t s = 0; s < point.series.size(); ++s) {
-      if (!mask[s]) continue;
-      const SweepSeriesSpec& spec = point.series[s];
-      const double series_start = sweep_timer.seconds();
-      // Processes hold Graph* and BundleTrial holds Rng*: reserve so the
-      // backing storage never reallocates under them.
-      std::vector<Graph> privates;
-      std::vector<Rng> walk_rngs;
-      std::vector<std::unique_ptr<WalkProcess>> walks;
-      if (!config.reuse_graph) privates.reserve(width);
-      walk_rngs.reserve(width);
-      walks.reserve(width);
-      std::vector<std::uint64_t> budgets(width, 0);
-      std::vector<BundleTrial> bundle(width);
-      for (std::uint32_t i = 0; i < width; ++i) {
-        const std::uint32_t t = lo + i;
-        SeriesCell& cell = records[p][t].cells[s];
-        cell.thread = Executor::timing_slot();
-        const Graph* g;
-        if (config.reuse_graph) {
-          g = &shared[i];
-        } else {
-          Rng graph_rng = sweep_stream(config.master_seed, p, t, 2 * s + 2);
-          WallTimer gen_timer;
-          privates.push_back(point.graph(graph_rng));
-          cell.gen_seconds = gen_timer.seconds();
-          g = &privates.back();
-        }
-        walk_rngs.push_back(sweep_stream(config.master_seed, p, t, 2 * s + 1));
-        walks.push_back(spec.process(*g, walk_rngs.back()));
-        budgets[i] =
-            point.max_steps != 0 ? point.max_steps : default_step_budget(*g);
-        bundle[i] =
-            BundleTrial{walks.back().get(), &walk_rngs.back(), budgets[i], 1};
-      }
-      WallTimer walk_timer;
-      std::vector<std::uint8_t> finished;
-      if (spec.target == CoverTarget::kVertices) {
-        finished = run_trial_bundle(
-            std::span<const BundleTrial>(bundle), [](const WalkProcess& w) {
-              return w.cover().all_vertices_covered();
-            });
-      } else {
-        finished = run_trial_bundle(
-            std::span<const BundleTrial>(bundle), [](const WalkProcess& w) {
-              return w.cover().all_edges_covered();
-            });
-      }
-      const double walk_secs = walk_timer.seconds();
-      const double series_end = sweep_timer.seconds();
-      for (std::uint32_t i = 0; i < width; ++i) {
-        SeriesCell& cell = records[p][lo + i].cells[s];
-        cell.ran = true;
-        cell.covered = finished[i] != 0;
-        const std::uint64_t result_step =
-            spec.target == CoverTarget::kVertices
-                ? walks[i]->cover().vertex_cover_step()
-                : walks[i]->cover().edge_cover_step();
-        cell.value = static_cast<double>(cell.covered ? result_step : budgets[i]);
-        // One interleaved run = one busy span: the lead cell carries it;
-        // non-lead cells are zero-span points at the bundle's end, so each
-        // still counts one series completion in the timeline.
-        cell.walk_seconds = i == 0 ? walk_secs : 0.0;
-        cell.t_start = i == 0 ? series_start : series_end;
-        cell.t_end = series_end;
-      }
+
+    const auto to_run = std::count(mask.begin(), mask.end(), std::uint8_t{1});
+    if (parallel && to_run > 1) {
+      // Nested fan-out: `shared` lives in this frame until the scope wait
+      // returns, so series subtasks may reference it freely.
+      TaskScope series_scope;
+      for (std::size_t s = 0; s < point.series.size(); ++s)
+        if (mask[s])
+          series_scope.spawn([&run_series, &shared, p, lo, hi, s] {
+            run_series(p, lo, hi, s, shared);
+          });
+      series_scope.wait();
+    } else {
+      for (std::size_t s = 0; s < point.series.size(); ++s)
+        if (mask[s]) run_series(p, lo, hi, s, shared);
     }
-    const double bundle_end = sweep_timer.seconds();
-    for (std::uint32_t t = lo; t < hi; ++t) records[p][t].t_end = bundle_end;
+    const double unit_end = sweep_timer.seconds();
+    for (std::uint32_t t = lo; t < hi; ++t) records[p][t].t_end = unit_end;
   };
 
   // One task per point: the point runs its own adaptive round loop, with
@@ -333,37 +255,23 @@ SweepResult run_sweep(const std::string& name,
           done_p == 0 ? floor_trials : std::max(1u, done_p / 2),
           cap - done_p);
       records[p].resize(done_p + batch);
+      // The round's trials, packed into units of `width` consecutive trials
+      // (ascending; the last may be short). Round barriers do not depend on
+      // the width, so the adaptive schedule stays a pure function of the
+      // samples.
       const std::uint32_t width = std::max(1u, config.bundle_width);
-      if (width <= 1) {
-        if (parallel) {
-          TaskScope round_scope;
-          for (std::uint32_t t = done_p; t < done_p + batch; ++t)
-            round_scope.spawn([&run_unit, p, t, mask = open] {
-              run_unit(p, t, mask);
-            });
-          round_scope.wait();
-        } else {
-          for (std::uint32_t t = done_p; t < done_p + batch; ++t)
-            run_unit(p, t, open);
-        }
+      const std::uint32_t end = done_p + batch;
+      if (parallel) {
+        TaskScope round_scope;
+        for (std::uint32_t lo = done_p; lo < end; lo += width)
+          round_scope.spawn(
+              [&run_unit, p, lo, hi = std::min(lo + width, end), mask = open] {
+                run_unit(p, lo, hi, mask);
+              });
+        round_scope.wait();
       } else {
-        // Bundled rounds: the round's trials are packed into bundles of
-        // `width` consecutive trials (ascending; the last may be short).
-        // Each bundle is one scheduler unit. Round barriers are unchanged,
-        // so the adaptive schedule stays a pure function of the samples.
-        if (parallel) {
-          TaskScope round_scope;
-          for (std::uint32_t lo = done_p; lo < done_p + batch; lo += width) {
-            const std::uint32_t hi = std::min(lo + width, done_p + batch);
-            round_scope.spawn([&run_bundle_unit, p, lo, hi, mask = open] {
-              run_bundle_unit(p, lo, hi, mask);
-            });
-          }
-          round_scope.wait();
-        } else {
-          for (std::uint32_t lo = done_p; lo < done_p + batch; lo += width)
-            run_bundle_unit(p, lo, std::min(lo + width, done_p + batch), open);
-        }
+        for (std::uint32_t lo = done_p; lo < end; lo += width)
+          run_unit(p, lo, std::min(lo + width, end), open);
       }
       done_p += batch;
 

@@ -1,5 +1,9 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
+
+#include "util/thread_pool.hpp"
+
 namespace ewalk {
 
 const std::vector<OptionAlias>& run_option_aliases() {
@@ -43,6 +47,32 @@ Cli::Cli(int argc, char** argv) {
     }
   }
   canonicalize_run_params(params_);
+}
+
+std::uint32_t resolve_cli_threads(const Cli& cli, std::int64_t default_threads) {
+  const std::int64_t requested = cli.get_int("threads", default_threads);
+  if (requested < 0)
+    throw std::invalid_argument(
+        "--threads must be >= 0 (0 = all hardware threads)");
+  bool clamped = false;
+  const std::uint32_t threads =
+      resolve_thread_count(static_cast<std::uint64_t>(requested), &clamped);
+  if (clamped)
+    std::fprintf(stderr,
+                 "warning: --threads %lld exceeds the %u hardware threads; "
+                 "clamped to %u\n",
+                 static_cast<long long>(requested),
+                 Executor::hardware_threads(), threads);
+  if (cli.get_bool("pin", false)) {
+    if (!Executor::pin_supported())
+      throw std::invalid_argument(
+          "--pin: thread-affinity pinning is not supported on this platform");
+    if (!Executor::instance().set_pinning(true))
+      std::fprintf(stderr,
+                   "warning: --pin: could not apply affinity to every worker "
+                   "(restricted cpuset?)\n");
+  }
+  return threads;
 }
 
 }  // namespace ewalk

@@ -103,4 +103,12 @@ class Cli {
   std::vector<std::string> positionals_;
 };
 
+/// Resolves the --threads / --pin flags every binary shares: --threads
+/// (`default_threads` when absent; must be >= 0) goes through
+/// resolve_thread_count, so 0 means all hardware threads and
+/// above-hardware requests clamp with a warning on stderr; --pin turns on
+/// worker pinning, throws std::invalid_argument where thread affinity is
+/// unsupported, and only warns when best-effort pinning fails.
+std::uint32_t resolve_cli_threads(const Cli& cli, std::int64_t default_threads);
+
 }  // namespace ewalk

@@ -54,17 +54,18 @@ void EProcess::note_transition(StepColor color, Vertex from, Vertex to) {
   }
 }
 
-// Out of line and cache-line aligned, so the per-step loop sits at the
-// same offset in every build instead of wherever the sizes of unrelated
-// files push it. On Skylake-family cores (the JCC erratum microcode fix)
-// the loop ran ~15% slower when its compare-and-branch straddled a
-// 32-byte boundary.
+// step_many and step are out of line and cache-line aligned, so the
+// per-step code sits at the same offset in every build instead of wherever
+// the sizes of unrelated files push it. On Skylake-family cores (the JCC
+// erratum microcode fix) the step loop ran ~15% slower when its
+// compare-and-branch straddled a 32-byte boundary. The trial kernel
+// (engine/bundle.hpp) calls step directly.
 __attribute__((aligned(64))) void EProcess::step_many(Rng& rng,
                                                       std::uint64_t k) {
   for (std::uint64_t i = 0; i < k; ++i) step(rng);
 }
 
-StepColor EProcess::step(Rng& rng) {
+__attribute__((aligned(64))) StepColor EProcess::step(Rng& rng) {
   const Vertex v = current_;
   ++steps_;
   StaticBlueIndex index{blue_, *g_, *rule_, uniform_rule_, cover_, steps_};

@@ -50,20 +50,25 @@ bool operator==(const TrialOutcome& a, const TrialOutcome& b) {
 }
 
 // Runs `factories[i](g, rng_i)` trials sequentially (reference) and bundled,
-// from identical per-trial streams, and expects identical outcomes.
+// from identical per-trial streams, and expects identical outcomes. Trial i
+// gets budgets[i], or kBudget when `budgets` is empty.
 using Factory =
     std::function<std::unique_ptr<WalkProcess>(const Graph&, Rng&)>;
 
-std::vector<TrialOutcome> run_sequential(const Graph& g,
-                                         const std::vector<Factory>& factories,
-                                         std::uint64_t seed,
-                                         std::uint64_t stride) {
+std::uint64_t budget_of(const std::vector<std::uint64_t>& budgets,
+                        std::size_t i) {
+  return budgets.empty() ? kBudget : budgets[i];
+}
+
+std::vector<TrialOutcome> run_sequential(
+    const Graph& g, const std::vector<Factory>& factories, std::uint64_t seed,
+    std::uint64_t stride, const std::vector<std::uint64_t>& budgets = {}) {
   std::vector<Rng> streams = derive_streams(seed, factories.size());
   std::vector<TrialOutcome> outcomes;
   for (std::size_t i = 0; i < factories.size(); ++i) {
     auto walk = factories[i](g, streams[i]);
-    const bool finished =
-        run_until_process(*walk, streams[i], vertices_covered, kBudget, stride);
+    const bool finished = run_until_process(
+        *walk, streams[i], vertices_covered, budget_of(budgets, i), stride);
     outcomes.push_back(TrialOutcome{finished, walk->steps(), walk->current(),
                                     walk->cover().vertex_cover_step(),
                                     streams[i].next_u64()});
@@ -71,16 +76,17 @@ std::vector<TrialOutcome> run_sequential(const Graph& g,
   return outcomes;
 }
 
-std::vector<TrialOutcome> run_bundled(const Graph& g,
-                                      const std::vector<Factory>& factories,
-                                      std::uint64_t seed, std::uint64_t stride) {
+std::vector<TrialOutcome> run_bundled(
+    const Graph& g, const std::vector<Factory>& factories, std::uint64_t seed,
+    std::uint64_t stride, const std::vector<std::uint64_t>& budgets = {}) {
   std::vector<Rng> streams = derive_streams(seed, factories.size());
   std::vector<std::unique_ptr<WalkProcess>> walks;
   walks.reserve(factories.size());
   std::vector<BundleTrial> trials(factories.size());
   for (std::size_t i = 0; i < factories.size(); ++i) {
     walks.push_back(factories[i](g, streams[i]));
-    trials[i] = BundleTrial{walks[i].get(), &streams[i], kBudget, stride};
+    trials[i] = BundleTrial{walks[i].get(), &streams[i], budget_of(budgets, i),
+                            stride};
   }
   const std::vector<std::uint8_t> finished =
       run_trial_bundle(std::span<const BundleTrial>(trials), vertices_covered);
@@ -161,6 +167,30 @@ TEST(TrialBundle, WideCheckStrideMatchesSequentialOvershoot) {
 
 TEST(TrialBundle, SingleTrialBundleMatchesSequential) {
   expect_bundle_matches_sequential(std::vector<Factory>(1, srw_factory()), 17);
+}
+
+TEST(TrialBundle, LastSurvivorInSingleLiveLoopMatchesSequential) {
+  // Budgets far apart make the four trials stop at four different steps:
+  // the bundle narrows to one live trial long before the last one stops,
+  // so that trial finishes in the single-live loop. Its stopping step and
+  // its stream's state after the run must still match the sequential run.
+  Rng graph_rng(7);
+  const Graph g = random_regular_connected(200, 4, graph_rng);
+  const std::vector<Factory> factories = {srw_factory(), eprocess_factory(),
+                                          srw_factory(), eprocess_factory()};
+  const std::vector<std::uint64_t> budgets = {40, 150, 90, kBudget};
+  for (const std::uint64_t stride : {1u, 7u}) {
+    const auto sequential = run_sequential(g, factories, 18, stride, budgets);
+    const auto bundled = run_bundled(g, factories, 18, stride, budgets);
+    for (std::size_t i = 0; i < factories.size(); ++i)
+      EXPECT_TRUE(sequential[i] == bundled[i])
+          << "trial " << i << " diverged at stride " << stride;
+    EXPECT_EQ(bundled[0].steps, 40u);
+    EXPECT_EQ(bundled[1].steps, 150u);
+    EXPECT_EQ(bundled[2].steps, 90u);
+    EXPECT_TRUE(bundled[3].finished);
+    EXPECT_GT(bundled[3].steps, 150u);  // ran alone after trial 1 stopped
+  }
 }
 
 TEST(TrialBundle, PredicateTrueAtEntryRetiresWithoutStepping) {

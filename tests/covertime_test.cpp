@@ -1,13 +1,25 @@
 // Tests for the experiment harness: parallel determinism, trial accounting,
-// and the convenience cover measurements.
+// and the cover measurements.
 #include <gtest/gtest.h>
 
 #include "covertime/experiment.hpp"
+#include "engine/adapters.hpp"
 #include "graph/generators.hpp"
 #include "walks/rules.hpp"
+#include "walks/srw.hpp"
 
 namespace ewalk {
 namespace {
+
+// The two walks the paper compares head to head, both started at vertex 0.
+const ProcessFactory eprocess_walk =
+    [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
+  return std::make_unique<EProcessHandle>(g, 0, std::make_unique<UniformRule>());
+};
+const ProcessFactory srw_walk =
+    [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
+  return std::make_unique<SimpleRandomWalk>(g, 0);
+};
 
 TEST(RunTrials, DeterministicAcrossThreadCounts) {
   const auto fn = [](Rng& rng, std::uint32_t) -> double {
@@ -33,19 +45,16 @@ TEST(RunTrials, ThreadCountInvarianceWithRealWalks) {
   const GraphFactory graphs = [](Rng& rng) {
     return random_regular_connected(80, 4, rng);
   };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
   req.threads = 1;
-  const auto serial = measure_eprocess_cover(graphs, rules, req);
+  const auto serial = measure_cover(eprocess_walk, graphs, req);
   req.threads = 8;
-  const auto parallel = measure_eprocess_cover(graphs, rules, req);
+  const auto parallel = measure_cover(eprocess_walk, graphs, req);
   EXPECT_EQ(serial.samples, parallel.samples);
 
   req.threads = 1;
-  const auto srw_serial = measure_srw_cover(graphs, req);
+  const auto srw_serial = measure_cover(srw_walk, graphs, req);
   req.threads = 8;
-  const auto srw_parallel = measure_srw_cover(graphs, req);
+  const auto srw_parallel = measure_cover(srw_walk, graphs, req);
   EXPECT_EQ(srw_serial.samples, srw_parallel.samples);
 }
 
@@ -77,15 +86,12 @@ TEST(MeasureCover, EProcessOnCycleIsExact) {
   req.trials = 4;
   req.seed = 5;
   const GraphFactory graphs = [](Rng&) { return cycle_graph(50); };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  auto res = measure_eprocess_cover(graphs, rules, req);
+  auto res = measure_cover(eprocess_walk, graphs, req);
   EXPECT_EQ(res.uncovered_trials, 0u);
   EXPECT_DOUBLE_EQ(res.stats.mean, 49.0);
 
   req.target = RunTarget::kEdges;
-  res = measure_eprocess_cover(graphs, rules, req);
+  res = measure_cover(eprocess_walk, graphs, req);
   EXPECT_DOUBLE_EQ(res.stats.mean, 50.0);
 }
 
@@ -99,10 +105,7 @@ TEST(MeasureCover, FreshGraphPerTrial) {
     calls.fetch_add(1);
     return random_regular_connected(40, 4, rng);
   };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  const auto res = measure_eprocess_cover(graphs, rules, req);
+  const auto res = measure_cover(eprocess_walk, graphs, req);
   EXPECT_EQ(calls.load(), 6);
   EXPECT_EQ(res.samples.size(), 6u);
   EXPECT_EQ(res.uncovered_trials, 0u);
@@ -115,11 +118,8 @@ TEST(MeasureCover, SrwCoversAndIsSlowerThanEProcess) {
   const GraphFactory graphs = [](Rng& rng) {
     return random_regular_connected(200, 4, rng);
   };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  const auto ep = measure_eprocess_cover(graphs, rules, req);
-  const auto srw = measure_srw_cover(graphs, req);
+  const auto ep = measure_cover(eprocess_walk, graphs, req);
+  const auto srw = measure_cover(srw_walk, graphs, req);
   EXPECT_EQ(ep.uncovered_trials, 0u);
   EXPECT_EQ(srw.uncovered_trials, 0u);
   EXPECT_LT(ep.stats.mean, srw.stats.mean);
@@ -130,7 +130,7 @@ TEST(MeasureCover, BudgetExhaustionCounted) {
   req.trials = 3;
   req.max_steps = 5;  // absurdly small: cover impossible
   const GraphFactory graphs = [](Rng&) { return cycle_graph(100); };
-  const auto res = measure_srw_cover(graphs, req);
+  const auto res = measure_cover(srw_walk, graphs, req);
   EXPECT_EQ(res.uncovered_trials, 3u);
   EXPECT_DOUBLE_EQ(res.stats.mean, 5.0);
 }
@@ -142,36 +142,9 @@ TEST(MeasureCover, ReproducibleForSameSeed) {
   const GraphFactory graphs = [](Rng& rng) {
     return random_regular_connected(60, 4, rng);
   };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  const auto a = measure_eprocess_cover(graphs, rules, req);
-  const auto b = measure_eprocess_cover(graphs, rules, req);
+  const auto a = measure_cover(eprocess_walk, graphs, req);
+  const auto b = measure_cover(eprocess_walk, graphs, req);
   EXPECT_EQ(a.samples, b.samples);
-}
-
-TEST(MeasureCover, DeprecatedConfigForwardsToRunRequest) {
-  // The one-release compatibility contract: the legacy config overload must
-  // produce bit-identical samples to the RunRequest overload it forwards to
-  // (master_seed maps to seed, the other fields one-to-one).
-  const GraphFactory graphs = [](Rng& rng) {
-    return random_regular_connected(60, 4, rng);
-  };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  CoverExperimentConfig legacy;
-  legacy.trials = 4;
-  legacy.master_seed = 33;
-  legacy.target = CoverTarget::kEdges;
-  RunRequest req;
-  req.trials = 4;
-  req.seed = 33;
-  req.target = RunTarget::kEdges;
-  const auto old_api = measure_eprocess_cover(graphs, rules, legacy);
-  const auto new_api = measure_eprocess_cover(graphs, rules, req);
-  EXPECT_EQ(old_api.samples, new_api.samples);
-  EXPECT_EQ(old_api.uncovered_trials, new_api.uncovered_trials);
 }
 
 }  // namespace

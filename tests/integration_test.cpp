@@ -7,6 +7,7 @@
 #include "analysis/blue.hpp"
 #include "analysis/girth.hpp"
 #include "covertime/experiment.hpp"
+#include "engine/adapters.hpp"
 #include "engine/driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/lps.hpp"
@@ -18,6 +19,11 @@
 namespace ewalk {
 namespace {
 
+const ProcessFactory uniform_eprocess =
+    [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
+  return std::make_unique<EProcessHandle>(g, 0, std::make_unique<UniformRule>());
+};
+
 CoverExperimentResult eprocess_cover(Vertex n, std::uint32_t r, std::uint32_t trials,
                                      std::uint64_t seed,
                                      RunTarget target = RunTarget::kVertices) {
@@ -28,8 +34,7 @@ CoverExperimentResult eprocess_cover(Vertex n, std::uint32_t r, std::uint32_t tr
   const GraphFactory graphs = [n, r](Rng& rng) {
     return random_regular_connected(n, r, rng);
   };
-  const RuleFactory rules = [](const Graph&) { return std::make_unique<UniformRule>(); };
-  return measure_eprocess_cover(graphs, rules, req);
+  return measure_cover(uniform_eprocess, graphs, req);
 }
 
 // Corollary 2 in miniature: on 4-regular graphs the E-process normalised
@@ -71,11 +76,12 @@ TEST(Integration, EProcessBeatsSrwByGrowingFactor) {
     const GraphFactory graphs = [n](Rng& rng) {
       return random_regular_connected(n, 4, rng);
     };
-    const RuleFactory rules = [](const Graph&) {
-      return std::make_unique<UniformRule>();
-    };
-    const auto ep = measure_eprocess_cover(graphs, rules, req);
-    const auto srw = measure_srw_cover(graphs, req);
+    const auto ep = measure_cover(uniform_eprocess, graphs, req);
+    const auto srw = measure_cover(
+        [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
+          return std::make_unique<SimpleRandomWalk>(g, 0);
+        },
+        graphs, req);
     return srw.stats.mean / ep.stats.mean;
   };
   const double r500 = ratio_at(500);

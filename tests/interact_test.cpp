@@ -265,19 +265,16 @@ TEST(MeasureCoalescence, TargetTokensStopsEarly) {
 }
 
 TEST(MeasureCoalescence, BudgetExhaustionCounted) {
-  // Exercised through the deprecated config overload on purpose: this is
-  // the forwarding shim's coalescence-side equivalence check (the cover
-  // side lives in covertime_test.cpp) until the shim is removed.
-  CoalescenceExperimentConfig config;
-  config.trials = 3;
-  config.max_steps = 2;  // absurdly small: coalescence impossible
+  RunRequest req;
+  req.trials = 3;
+  req.max_steps = 2;  // absurdly small: coalescence impossible
   const GraphFactory graphs = [](Rng&) { return cycle_graph(64); };
   const TokenProcessFactory tokens =
       [](const Graph& g, Rng&) -> std::unique_ptr<TokenProcess> {
     return std::make_unique<CoalescingRW>(
         g, spread_token_starts(g.num_vertices(), 8, 0));
   };
-  const auto res = measure_coalescence(tokens, graphs, config);
+  const auto res = measure_coalescence(tokens, graphs, req);
   EXPECT_EQ(res.unfinished_trials, 3u);
   EXPECT_DOUBLE_EQ(res.stats.mean, 2.0);
 }

@@ -174,19 +174,19 @@ std::uint64_t hash_samples(const std::vector<double>& samples) {
   return h.h;
 }
 
-// Parallel experiment harness: per-trial streams through run_trials.
+// Parallel experiment harness: per-trial streams through the trial kernel.
 std::uint64_t measure_cover_samples(std::uint32_t threads) {
   RunRequest req;
   req.trials = 8;
   req.threads = threads;
   req.seed = 2024;
-  const auto result = measure_eprocess_cover(
-      [](Rng& rng) { return random_regular_connected(200, 4, rng); },
-      [](const Graph& g) {
+  const auto result = measure_cover(
+      [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
         Rng unused(0);
-        return make_rule("uniform", g, unused);
+        return std::make_unique<EProcessHandle>(g, /*start=*/0,
+                                                make_rule("uniform", g, unused));
       },
-      req);
+      [](Rng& rng) { return random_regular_connected(200, 4, rng); }, req);
   return hash_samples(result.samples);
 }
 

@@ -19,11 +19,13 @@
 #include <thread>
 #include <vector>
 
+#include "engine/process.hpp"
 #include "engine/registry.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
+#include "walks/srw.hpp"
 
 namespace ewalk {
 namespace {
@@ -320,6 +322,147 @@ TEST(ExecuteRun, RegistrySuggestionsForGraphFamilies) {
   EXPECT_NE(result.error.find("did you mean"), std::string::npos)
       << result.error;
   EXPECT_NE(result.error.find("regular"), std::string::npos) << result.error;
+}
+
+// ---- execute_run honours bundle_width ----------------------------------------
+
+// Which instance made each step, in step order. Instances number themselves
+// at construction (execute_run's probe is instance 0 and never steps).
+struct StepLog {
+  std::mutex mutex;
+  int next_id = 0;
+  std::vector<int> order;
+};
+
+StepLog& step_log() {
+  static StepLog log;
+  return log;
+}
+
+// A simple random walk that appends its instance id to step_log() on every
+// step — a test-only process that makes the interleave order visible.
+class StepOrderWalk final : public WalkProcess {
+ public:
+  explicit StepOrderWalk(const Graph& g) : walk_(g, 0) {
+    std::lock_guard<std::mutex> lock(step_log().mutex);
+    id_ = step_log().next_id++;
+  }
+  void step(Rng& rng) override {
+    {
+      std::lock_guard<std::mutex> lock(step_log().mutex);
+      step_log().order.push_back(id_);
+    }
+    walk_.step(rng);
+  }
+  Vertex current() const override { return walk_.current(); }
+  std::uint64_t steps() const override { return walk_.steps(); }
+  const CoverState& cover() const override { return walk_.cover(); }
+  const Graph& graph() const override { return walk_.graph(); }
+  std::string_view name() const override { return "test-step-order"; }
+
+ private:
+  SimpleRandomWalk walk_;
+  int id_ = 0;
+};
+
+// Runs `bundle` on one thread through execute_run and returns the step
+// order: 4 trials of 20 steps each on a cycle too long to cover.
+std::vector<int> step_order_of(std::uint32_t bundle) {
+  static const bool registered = [] {
+    ProcessRegistry::instance().add(
+        "test-step-order", "", "records its step order (test only)",
+        [](const Graph& g, const ParamMap&, Rng&) {
+          return std::make_unique<StepOrderWalk>(g);
+        });
+    return true;
+  }();
+  (void)registered;
+  {
+    std::lock_guard<std::mutex> lock(step_log().mutex);
+    step_log().next_id = 0;
+    step_log().order.clear();
+  }
+  RunRequest req;
+  req.graph = "cycle";
+  req.process = "test-step-order";
+  req.params = cycle_params(64);
+  req.trials = 4;
+  req.threads = 1;
+  req.max_steps = 20;
+  req.bundle_width = bundle;
+  const RunResult result = execute_run(req);
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.unfinished, 4u);
+  std::lock_guard<std::mutex> lock(step_log().mutex);
+  return step_log().order;
+}
+
+TEST(ExecuteRun, BundleWidthInterleavesTrials) {
+  std::vector<int> one_at_a_time;
+  for (int id = 1; id <= 4; ++id)
+    one_at_a_time.insert(one_at_a_time.end(), 20, id);
+  std::vector<int> round_robin;
+  for (int round = 0; round < 20; ++round)
+    for (int id = 1; id <= 4; ++id) round_robin.push_back(id);
+  EXPECT_EQ(step_order_of(1), one_at_a_time);
+  EXPECT_EQ(step_order_of(4), round_robin);
+}
+
+TEST(ExecuteRun, SamplesInvariantAcrossBundleWidthsAndThreads) {
+  struct Case {
+    const char* process;
+    RunTarget target;
+  };
+  for (const Case c : {Case{"srw", RunTarget::kVertices},
+                       Case{"eprocess", RunTarget::kEdges},
+                       Case{"coalescing-srw", RunTarget::kCoalescence}}) {
+    RunRequest req;
+    req.graph = "regular";
+    req.process = c.process;
+    req.params = ParamMap{{"n", "96"}, {"r", "4"}, {"tokens", "6"}};
+    req.target = c.target;
+    req.seed = 31;
+    req.trials = 6;  // a short last bundle at width 4
+    req.threads = 1;
+    req.bundle_width = 1;
+    const RunResult reference = execute_run(req);
+    ASSERT_TRUE(reference.ok) << reference.error;
+    ASSERT_EQ(reference.samples.size(), 6u);
+    EXPECT_EQ(reference.meeting_samples.size(),
+              c.target == RunTarget::kCoalescence ? 6u : 0u);
+    for (const std::uint32_t bundle : {1u, 4u}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        req.bundle_width = bundle;
+        req.threads = threads;
+        const RunResult run = execute_run(req);
+        ASSERT_TRUE(run.ok) << run.error;
+        EXPECT_EQ(run.samples, reference.samples)
+            << c.process << " bundle " << bundle << " threads " << threads;
+        EXPECT_EQ(run.step_samples, reference.step_samples)
+            << c.process << " bundle " << bundle << " threads " << threads;
+        EXPECT_EQ(run.meeting_samples, reference.meeting_samples)
+            << c.process << " bundle " << bundle << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(ServerTest, BundledRunAnswersLikeUnbundled) {
+  const std::string base =
+      "{\"op\":\"run\",\"id\":\"b\",\"graph\":\"regular\",\"process\":"
+      "\"eprocess\",\"seed\":5,\"trials\":6,\"threads\":2,\"params\":"
+      "{\"n\":\"128\",\"r\":\"4\"},\"bundle\":";
+  Collector unbundled, bundled;
+  Server server(ServerConfig{});
+  server.handle_line(base + "1}", unbundled.sink());
+  server.drain();
+  server.handle_line(base + "4}", bundled.sink());
+  server.drain();
+  const auto expected = result_lines(unbundled.snapshot());
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_NE(expected[0].find("\"status\":\"ok\""), std::string::npos)
+      << expected[0];
+  EXPECT_EQ(result_lines(bundled.snapshot()), expected);
 }
 
 // ---- Server ----------------------------------------------------------------

@@ -7,7 +7,7 @@
 //         [--trials N] [--threads T] [--seed S]
 //         [--target vertices|edges|coalescence]
 //         [--start V] [--max-steps B] [--csv out.csv] [--profile]
-//         [--sweep n1,n2,...]
+//         [--sweep n1,n2,...] [--bundle W]
 //
 // (--walk is accepted as a synonym for --process, --generator for --graph.)
 //
@@ -21,10 +21,10 @@
 //   ewalk --generator regular-pairing --r 4 --process eprocess --sweep \
 //         25000,50000,100000 --trials 5 --threads 0
 //
-// Trials run through the experiment harness's run_trials on the
-// work-stealing Executor: trial t's RNG stream is a pure function of
-// (--seed, t), so --threads (and --pin) change wall time only, never the
-// reported samples.
+// Trials run through the experiment harness's one trial loop
+// (run_target_trials) on the work-stealing Executor: trial t's RNG stream is
+// a pure function of (--seed, t), so --threads, --pin and --bundle change
+// wall time only, never the reported samples.
 //
 // Graph families and walk processes are dispatched through the engine
 // registries (src/engine/registry.hpp); `ewalk --help` lists every
@@ -59,7 +59,6 @@
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -85,8 +84,8 @@ void print_help() {
       "        counts adaptive: each series runs --trials to M trials until\n"
       "        its 95%% CI half-width is within --ci-width (default 0.05) of\n"
       "        its mean; --bundle W > 1 interleaves W trials per task to hide\n"
-      "        DRAM latency on big graphs — samples are bit-identical to\n"
-      "        --bundle 1)\n\n");
+      "        DRAM latency on big graphs, in single runs and sweeps alike —\n"
+      "        samples are bit-identical to --bundle 1)\n\n");
   std::printf("graph families (--graph):\n");
   for (const auto& e : GeneratorRegistry::instance().entries())
     std::printf("  %-12s %-22s %s\n", e.name.c_str(), e.params_help.c_str(),
@@ -103,36 +102,6 @@ void print_help() {
       "first-meeting steps). When --max-steps is absent the engine's\n"
       "default_step_budget(g) heuristic bounds each trial\n"
       "(see src/engine/budget.hpp).\n");
-}
-
-// --threads / --pin handling shared by the sweep and trial paths: 0 means
-// all hardware threads, above-hardware requests clamp with a warning
-// instead of silently oversubscribing, and --pin errors out where thread
-// affinity is unsupported (best-effort failures only warn).
-std::uint32_t resolve_cli_threads(const Cli& cli) {
-  const std::int64_t requested = cli.get_int("threads", 1);
-  if (requested < 0)
-    throw std::invalid_argument(
-        "--threads must be >= 0 (0 = all hardware threads)");
-  bool clamped = false;
-  const std::uint32_t threads =
-      resolve_thread_count(static_cast<std::uint64_t>(requested), &clamped);
-  if (clamped)
-    std::fprintf(stderr,
-                 "warning: --threads %lld exceeds the %u hardware threads; "
-                 "clamped to %u\n",
-                 static_cast<long long>(requested),
-                 Executor::hardware_threads(), threads);
-  if (cli.get_bool("pin", false)) {
-    if (!Executor::pin_supported())
-      throw std::invalid_argument(
-          "--pin: thread-affinity pinning is not supported on this platform");
-    if (!Executor::instance().set_pinning(true))
-      std::fprintf(stderr,
-                   "warning: --pin: could not apply affinity to every worker "
-                   "(restricted cpuset?)\n");
-  }
-  return threads;
 }
 
 // Sweep mode: --sweep n1,n2,... sweeps the family's --n parameter through
@@ -186,7 +155,7 @@ int run_cli_sweep(const Cli& cli, const std::string& family,
 
   SweepConfig config;
   config.trials = trials;
-  config.threads = resolve_cli_threads(cli);
+  config.threads = resolve_cli_threads(cli, /*default_threads=*/1);
   config.master_seed = cli.get_u64("seed", 1);
   config.max_trials = static_cast<std::uint32_t>(cli.get_u64("max-trials", 0));
   config.ci_rel_target = cli.get_double("ci-width", config.ci_rel_target);
@@ -225,7 +194,7 @@ int main(int argc, char** argv) {
     if (cli.has("sweep"))
       return run_cli_sweep(cli, req.graph, req.process, req.trials);
 
-    req.threads = resolve_cli_threads(cli);
+    req.threads = resolve_cli_threads(cli, /*default_threads=*/1);
 
     // The whole non-sweep run is one execute_run call — the same entry
     // point the ewalkd daemon dispatches, minus the graph cache.
