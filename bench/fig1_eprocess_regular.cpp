@@ -118,8 +118,8 @@ int main(int argc, char** argv) try {
       cfg.full ? std::vector<std::uint64_t>{100000, 200000, 300000, 400000, 500000}
                : std::vector<std::uint64_t>{25000, 50000, 100000, 200000};
   std::vector<std::uint64_t> degrees{3, 4, 5, 6, 7};
-  if (cli.has("ns")) ns = parse_u64_list(cli.get("ns", ""));
-  if (cli.has("degrees")) degrees = parse_u64_list(cli.get("degrees", ""));
+  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
+  if (cli.has("degrees")) degrees = parse_u64_list("degrees", cli.get("degrees", ""));
 
   if (cli.get_bool("gen-only", false))
     return run_gen_only(cfg, generator, degrees, ns,

@@ -30,7 +30,7 @@ int main(int argc, char** argv) try {
   const std::string generator = cli.get("generator", "pairing");
   const Vertex n = cfg.full ? 200000 : 50000;
   std::vector<std::uint64_t> ks{1, 2, 4, 8, 16};
-  if (cli.has("walkers")) ks = parse_u64_list(cli.get("walkers", ""));
+  if (cli.has("walkers")) ks = parse_u64_list("walkers", cli.get("walkers", ""));
 
   std::vector<SweepPoint> points;
   for (const std::uint64_t k : ks) {

@@ -38,7 +38,7 @@ std::vector<double> parse_double_list(const std::string& spec) {
   std::size_t pos = 0;
   while (pos < spec.size()) {
     const std::size_t comma = spec.find(',', pos);
-    out.push_back(std::stod(spec.substr(pos, comma - pos)));
+    out.push_back(parse_double("alphas", spec.substr(pos, comma - pos)));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -71,7 +71,7 @@ int main(int argc, char** argv) try {
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{10000, 20000, 40000}
                : std::vector<std::uint64_t>{2000, 5000};
-  if (cli.has("ns")) ns = parse_u64_list(cli.get("ns", ""));
+  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
   std::vector<double> alphas{0.0001, 0.001, 0.01};
   if (cli.has("alphas")) alphas = parse_double_list(cli.get("alphas", ""));
   constexpr std::uint32_t kDegree = 4;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) try {
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{20000, 40000, 80000, 160000}
                : std::vector<std::uint64_t>{5000, 10000, 20000, 40000};
-  if (cli.has("ns")) ns = parse_u64_list(cli.get("ns", ""));
+  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
   const std::vector<std::uint64_t> degrees{4, 6};
 
   std::vector<SweepPoint> points;

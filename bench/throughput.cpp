@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
     const std::uint64_t lat_reps = std::max<std::uint64_t>(
         1, cli.get_u64("latency-reps", 3));
     std::vector<std::uint64_t> widths = {1, 4, 8, 16};
-    if (cli.has("bundle")) widths = parse_u64_list(cli.get("bundle", "1"));
+    if (cli.has("bundle")) widths = parse_u64_list("bundle", cli.get("bundle", ""));
 
     std::printf("-- latency-bound tier: random-regular n=%u r=%u, "
                 "%llu steps per interleaved walk, best of %llu --\n",

@@ -49,9 +49,8 @@ TrialTarget::TrialTarget(RunTarget target, std::uint32_t tokens)
     throw std::invalid_argument("TrialTarget: resolve RunTarget::kAuto first");
 }
 
-void TrialTarget::check(const WalkProcess& process) const {
-  if (kind_ == RunTarget::kCoalescence &&
-      dynamic_cast<const TokenProcess*>(&process) == nullptr)
+void TrialTarget::check(ProcessKind kind) const {
+  if (kind_ == RunTarget::kCoalescence && kind != ProcessKind::kToken)
     throw std::invalid_argument(
         "--target coalescence needs an interacting-token process");
 }
@@ -114,7 +113,9 @@ std::vector<TrialOutcome> run_target_trials(const RunRequest& req,
     for (std::uint32_t t = lo; t < hi; ++t) {
       setups.push_back(build(streams[t]));
       WalkProcess& process = *setups.back().process;
-      target.check(process);
+      target.check(dynamic_cast<const TokenProcess*>(&process) != nullptr
+                       ? ProcessKind::kToken
+                       : ProcessKind::kWalk);
       outcomes[t].budget = req.max_steps != 0
                                ? req.max_steps
                                : default_step_budget(process.graph());

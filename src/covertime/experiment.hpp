@@ -82,9 +82,9 @@ class TrialTarget {
   /// tokens remain. kAuto throws std::invalid_argument (resolve it first).
   TrialTarget(RunTarget target, std::uint32_t tokens);
 
-  /// Throws std::invalid_argument unless `process` can reach this target:
-  /// a token target needs a TokenProcess.
-  void check(const WalkProcess& process) const;
+  /// Throws std::invalid_argument unless a process of `kind` can reach
+  /// this target: a token target needs a TokenProcess.
+  void check(ProcessKind kind) const;
 
   /// Drives the trials to this target through one run_trial_bundle call,
   /// each on its own BundleTrial budget and check stride. Returns one flag

@@ -1,7 +1,5 @@
 #include "engine/registry.hpp"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -26,291 +24,236 @@ namespace ewalk {
 
 namespace {
 
+// Parameters more than one entry reads, declared once.
+const ParamSpec kStart{"start", ParamType::kU32, "0", {}, "start vertex"};
+const ParamSpec kRule{"rule", ParamType::kString, "uniform", {},
+                      "unvisited-edge choice rule (see the list below)"};
+const ParamSpec kTokens{"tokens", ParamType::kU32, "2", {}, "initial tokens"};
+const ParamSpec kAlpha{"alpha", ParamType::kDouble, "1", {0.0, true},
+                       "PCF freezing rate"};
+const ParamSpec kDt{"dt", ParamType::kDouble, "", {0.0, true},
+                    "PCF time per walk step (default 1/n)"};
+const ParamSpec kN{"n", ParamType::kU32, "10000", {}, "vertices"};
+const ParamSpec kDegree{"r", ParamType::kU32, "4", {}, "degree"};
+const ParamSpec kWidth{"w", ParamType::kU32, "100", {}, "width"};
+const ParamSpec kHeight{"h", ParamType::kU32, "100", {}, "height"};
+
 Vertex start_vertex(const Graph& g, const ParamMap& params) {
-  const Vertex start = static_cast<Vertex>(params.get_u64("start", 0));
+  const Vertex start = static_cast<Vertex>(params.get_u64("start"));
   if (start >= g.num_vertices())
     throw std::invalid_argument("--start out of range for this graph");
   return start;
 }
 
+std::uint32_t get_u32(const ParamMap& params, const std::string& key) {
+  return static_cast<std::uint32_t>(params.get_u64(key));
+}
+
 // PCF time advanced per walk step: --dt, defaulting to 1/n so one unit of
 // graph time corresponds to n walk steps.
 double pcf_time_per_step(const Graph& g, const ParamMap& p) {
-  const double dflt =
-      g.num_vertices() > 0 ? 1.0 / static_cast<double>(g.num_vertices()) : 1.0;
-  const double dt = p.get_double("dt", dflt);
-  if (!(dt > 0.0)) throw std::invalid_argument("--dt must be > 0");
-  return dt;
+  if (p.has("dt")) return p.get_double("dt");
+  return g.num_vertices() > 0 ? 1.0 / static_cast<double>(g.num_vertices()) : 1.0;
 }
 
-double pcf_alpha(const ParamMap& p) {
-  const double alpha = p.get_double("alpha", 1.0);
-  if (!(alpha > 0.0)) throw std::invalid_argument("--alpha must be > 0");
-  return alpha;
+// A factory for Walk(g, start, args...): the processes whose only
+// parameter is --start.
+template <typename Walk, typename... Args>
+RegistryProcessFactory from_start(Args... args) {
+  return [=](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
+    return std::make_unique<Walk>(g, start_vertex(g, p), args...);
+  };
 }
 
-std::vector<std::uint32_t> parse_offsets(const std::string& spec) {
-  std::vector<std::uint32_t> offsets;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    offsets.push_back(
-        static_cast<std::uint32_t>(std::stoul(spec.substr(pos, comma - pos))));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return offsets;
+// K token starts spread from --start.
+std::vector<Vertex> token_starts(const Graph& g, const ParamMap& p) {
+  return spread_token_starts(g.num_vertices(), get_u32(p, "tokens"),
+                             start_vertex(g, p));
 }
 
 void register_builtin_processes(ProcessRegistry& r) {
-  r.add("eprocess", "[--rule uniform|first|last|roundrobin|adversary|greedy|priority] [--start V]",
-        "unvisited-edge process (the paper's E-process)",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<EProcessHandle>(
-              g, start_vertex(g, p), make_rule(p.get("rule", "uniform"), g, rng));
-        });
-  r.add("multi-eprocess", "[--walkers K] [--rule R] [--start V]",
-        "K cooperating E-process walkers sharing one visited-edge state",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          const std::uint32_t k =
-              static_cast<std::uint32_t>(p.get_u64("walkers", 2));
-          if (k == 0) throw std::invalid_argument("--walkers must be >= 1");
-          // Walkers don't interact, so duplicate starts (k > n) are fine.
-          return std::make_unique<MultiEProcessHandle>(
-              g,
-              spread_token_starts(g.num_vertices(), k, start_vertex(g, p),
-                                  /*distinct=*/false),
-              make_rule(p.get("rule", "uniform"), g, rng));
-        });
-  r.add("srw", "[--lazy] [--start V]", "simple random walk (baseline)",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<SimpleRandomWalk>(
-              g, start_vertex(g, p), SrwOptions{.lazy = p.get_bool("lazy", false)});
-        });
-  r.add("lazy-srw", "[--start V]", "lazy simple random walk (hold w.p. 1/2)",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<SimpleRandomWalk>(g, start_vertex(g, p),
-                                                    SrwOptions{.lazy = true});
-        });
-  r.add("rotor", "[--start V]", "rotor-router (Propp machine), deterministic",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<RotorRouter>(g, start_vertex(g, p));
-        });
-  r.add("vertexwalk", "[--start V]",
-        "unvisited-vertex-preferring walk (the V-process)",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<UnvisitedVertexWalk>(g, start_vertex(g, p));
-        });
-  r.add("rwc", "[--d N] [--start V]",
-        "random walk with choice, RWC(d): best of d sampled neighbours",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<RandomWalkWithChoice>(
-              g, start_vertex(g, p), static_cast<std::uint32_t>(p.get_u64("d", 2)));
-        });
-  r.add("leastused", "[--start V]",
-        "locally fair: exit along the least-traversed incident edge",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<LocallyFairWalk>(
-              g, start_vertex(g, p), FairnessCriterion::kLeastUsedFirst);
-        });
-  r.add("oldest", "[--start V]",
-        "locally fair: exit along the longest-waiting incident edge",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<LocallyFairWalk>(g, start_vertex(g, p),
-                                                   FairnessCriterion::kOldestFirst);
-        });
-  r.add("weighted", "[--start V]",
-        "reversible weighted random walk (unit weights)",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          return std::make_unique<WeightedRandomWalk>(
-              g, start_vertex(g, p), std::vector<double>(g.num_edges(), 1.0));
-        });
-  r.add("coalescing-srw", "[--tokens K] [--start V]",
-        "K independent SRW tokens merging on vertex collision",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          const std::uint32_t k =
-              static_cast<std::uint32_t>(p.get_u64("tokens", 2));
-          return std::make_unique<CoalescingRW>(
-              g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
-        });
-  r.add("coalescing-ewalk", "[--tokens K] [--rule R] [--start V]",
-        "K unvisited-edge-preferring tokens merging on collision",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          const std::uint32_t k =
-              static_cast<std::uint32_t>(p.get_u64("tokens", 2));
-          return std::make_unique<CoalescingEWalk>(
-              g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
-              make_rule(p.get("rule", "uniform"), g, rng));
-        });
+  using Made = std::unique_ptr<WalkProcess>;
+  r.add({"eprocess", "unvisited-edge process (the paper's E-process)",
+         {kRule, kStart}, [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           return std::make_unique<EProcessHandle>(
+               g, start_vertex(g, p), make_rule(p.get("rule"), g, rng));
+         }});
+  r.add({"multi-eprocess",
+         "K cooperating E-process walkers sharing one visited-edge state",
+         {{"walkers", ParamType::kU32, "2", {1.0}, "walkers"}, kRule, kStart},
+         [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           // Walkers don't interact, so duplicate starts (k > n) are fine.
+           return std::make_unique<MultiEProcessHandle>(
+               g,
+               spread_token_starts(g.num_vertices(), get_u32(p, "walkers"),
+                                   start_vertex(g, p), /*distinct=*/false),
+               make_rule(p.get("rule"), g, rng));
+         }});
+  r.add({"srw", "simple random walk (baseline)",
+         {{"lazy", ParamType::kBool, "false", {}, "hold w.p. 1/2"}, kStart},
+         [](const Graph& g, const ParamMap& p, Rng&) -> Made {
+           return std::make_unique<SimpleRandomWalk>(
+               g, start_vertex(g, p), SrwOptions{.lazy = p.get_bool("lazy")});
+         }});
+  r.add({"lazy-srw", "lazy simple random walk (hold w.p. 1/2)", {kStart},
+         from_start<SimpleRandomWalk>(SrwOptions{.lazy = true})});
+  r.add({"rotor", "rotor-router (Propp machine), deterministic", {kStart},
+         from_start<RotorRouter>()});
+  r.add({"vertexwalk", "unvisited-vertex-preferring walk (the V-process)",
+         {kStart}, from_start<UnvisitedVertexWalk>()});
+  r.add({"rwc", "random walk with choice, RWC(d): best of d sampled neighbours",
+         {{"d", ParamType::kU32, "2", {}, "neighbours sampled per step"}, kStart},
+         [](const Graph& g, const ParamMap& p, Rng&) -> Made {
+           return std::make_unique<RandomWalkWithChoice>(g, start_vertex(g, p),
+                                                         get_u32(p, "d"));
+         }});
+  r.add({"leastused", "locally fair: exit along the least-traversed incident edge",
+         {kStart}, from_start<LocallyFairWalk>(FairnessCriterion::kLeastUsedFirst)});
+  r.add({"oldest", "locally fair: exit along the longest-waiting incident edge",
+         {kStart}, from_start<LocallyFairWalk>(FairnessCriterion::kOldestFirst)});
+  r.add({"weighted", "reversible weighted random walk (unit weights)", {kStart},
+         [](const Graph& g, const ParamMap& p, Rng&) -> Made {
+           return std::make_unique<WeightedRandomWalk>(
+               g, start_vertex(g, p), std::vector<double>(g.num_edges(), 1.0));
+         }});
+  r.add({"coalescing-srw", "K independent SRW tokens merging on vertex collision",
+         {kTokens, kStart},
+         [](const Graph& g, const ParamMap& p, Rng&) -> Made {
+           return std::make_unique<CoalescingRW>(g, token_starts(g, p));
+         },
+         ProcessKind::kToken});
+  r.add({"coalescing-ewalk", "K unvisited-edge-preferring tokens merging on collision",
+         {kTokens, kRule, kStart},
+         [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           return std::make_unique<CoalescingEWalk>(g, token_starts(g, p),
+                                                    make_rule(p.get("rule"), g, rng));
+         },
+         ProcessKind::kToken});
   // PCF-evolving processes: the incoming graph is the POTENTIAL-edge base;
   // the walker steps on an owned DynamicGraph that starts empty and grows
   // as the PCF schedule (drawn from a child split of the walk stream, so
   // trajectories stay thread-count independent) opens edges around it.
-  r.add("pcf-srw", "[--alpha A] [--dt T] [--start V]",
-        "SRW on a PCF-evolving graph (edges open at rate 1, components freeze at rate alpha)",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          Rng schedule_rng = rng.split();
-          return std::make_unique<PcfProcess<DynamicSrw>>(
-              g, start_vertex(g, p), pcf_alpha(p), pcf_time_per_step(g, p),
-              schedule_rng);
-        });
-  r.add("pcf-eprocess", "[--alpha A] [--dt T] [--start V]",
-        "unvisited-edge process on a PCF-evolving graph (uniform blue choice)",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          Rng schedule_rng = rng.split();
-          return std::make_unique<PcfProcess<DynamicEProcess>>(
-              g, start_vertex(g, p), pcf_alpha(p), pcf_time_per_step(g, p),
-              schedule_rng);
-        });
-  r.add("pcf-coalescing-srw", "[--tokens K] [--alpha A] [--dt T] [--start V]",
-        "K coalescing SRW tokens on a PCF-evolving graph",
-        [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
-          const std::uint32_t k =
-              static_cast<std::uint32_t>(p.get_u64("tokens", 2));
-          Rng schedule_rng = rng.split();
-          return std::make_unique<PcfCoalescingSrw>(
-              g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
-              pcf_alpha(p), pcf_time_per_step(g, p), schedule_rng);
-        });
-  r.add("herman", "[--tokens K odd] [--start V]",
-        "Herman's protocol: odd tokens on a cycle, pairwise annihilation",
-        [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
-          const std::uint32_t k =
-              static_cast<std::uint32_t>(p.get_u64("tokens", 3));
-          return std::make_unique<HermanRing>(
-              g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
-        });
+  r.add({"pcf-srw",
+         "SRW on a PCF-evolving graph (edges open at rate 1, components freeze at rate alpha)",
+         {kAlpha, kDt, kStart}, [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           Rng schedule_rng = rng.split();
+           return std::make_unique<PcfProcess<DynamicSrw>>(
+               g, start_vertex(g, p), p.get_double("alpha"),
+               pcf_time_per_step(g, p), schedule_rng);
+         }});
+  r.add({"pcf-eprocess",
+         "unvisited-edge process on a PCF-evolving graph (uniform blue choice)",
+         {kAlpha, kDt, kStart}, [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           Rng schedule_rng = rng.split();
+           return std::make_unique<PcfProcess<DynamicEProcess>>(
+               g, start_vertex(g, p), p.get_double("alpha"),
+               pcf_time_per_step(g, p), schedule_rng);
+         }});
+  r.add({"pcf-coalescing-srw", "K coalescing SRW tokens on a PCF-evolving graph",
+         {kTokens, kAlpha, kDt, kStart},
+         [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
+           const std::vector<Vertex> starts = token_starts(g, p);
+           Rng schedule_rng = rng.split();
+           return std::make_unique<PcfCoalescingSrw>(
+               g, starts, p.get_double("alpha"), pcf_time_per_step(g, p),
+               schedule_rng);
+         },
+         ProcessKind::kToken});
+  r.add({"herman", "Herman's protocol: odd tokens on a cycle, pairwise annihilation",
+         {{"tokens", ParamType::kU32, "3", {}, "initial tokens (odd)"}, kStart},
+         [](const Graph& g, const ParamMap& p, Rng&) -> Made {
+           return std::make_unique<HermanRing>(g, token_starts(g, p));
+         },
+         ProcessKind::kToken});
 }
 
 void register_builtin_generators(GeneratorRegistry& r) {
-  r.add("regular", "--n --r", "random r-regular (Steger-Wormald), connected",
-        [](const ParamMap& p, Rng& rng) {
-          return random_regular_connected(
-              static_cast<Vertex>(p.get_u64("n", 10000)),
-              static_cast<std::uint32_t>(p.get_u64("r", 4)), rng);
-        });
-  r.add("regular-pairing", "--n --r",
-        "random r-regular (pairing model + edge-swap repair), connected",
-        [](const ParamMap& p, Rng& rng) {
-          return random_regular_pairing_connected(
-              static_cast<Vertex>(p.get_u64("n", 10000)),
-              static_cast<std::uint32_t>(p.get_u64("r", 4)), rng);
-        });
-  r.add("hamunion", "--n --k", "union of k random Hamiltonian cycles",
-        [](const ParamMap& p, Rng& rng) {
-          return hamiltonian_cycle_union(
-              static_cast<Vertex>(p.get_u64("n", 10000)),
-              static_cast<std::uint32_t>(p.get_u64("k", 2)), rng);
-        });
-  r.add("cycle", "--n", "cycle C_n",
-        [](const ParamMap& p, Rng&) {
-          return cycle_graph(static_cast<Vertex>(p.get_u64("n", 10000)));
-        });
-  r.add("complete", "--n", "complete graph K_n",
-        [](const ParamMap& p, Rng&) {
-          return complete_graph(static_cast<Vertex>(p.get_u64("n", 10000)));
-        });
-  r.add("hypercube", "--r", "hypercube H_r on 2^r vertices",
-        [](const ParamMap& p, Rng&) {
-          return hypercube(static_cast<std::uint32_t>(p.get_u64("r", 10)));
-        });
-  r.add("torus", "--w --h", "2-D torus (cyclic grid)",
-        [](const ParamMap& p, Rng&) {
-          return torus_2d(static_cast<Vertex>(p.get_u64("w", 100)),
-                          static_cast<Vertex>(p.get_u64("h", 100)));
-        });
-  r.add("grid", "--w --h", "2-D open grid",
-        [](const ParamMap& p, Rng&) {
-          return grid_2d(static_cast<Vertex>(p.get_u64("w", 100)),
-                         static_cast<Vertex>(p.get_u64("h", 100)));
-        });
-  r.add("geometric", "--n --radius", "random geometric graph in the unit square",
-        [](const ParamMap& p, Rng& rng) {
-          return random_geometric(static_cast<Vertex>(p.get_u64("n", 10000)),
-                                  p.get_double("radius", 0.03), rng);
-        });
-  r.add("erdosrenyi", "--n --p", "Erdos-Renyi G(n, p)",
-        [](const ParamMap& p, Rng& rng) {
-          return erdos_renyi(static_cast<Vertex>(p.get_u64("n", 10000)),
-                             p.get_double("p", 0.001), rng);
-        });
-  r.add("lps", "--p --q", "Lubotzky-Phillips-Sarnak Ramanujan graph X^{p,q}",
-        [](const ParamMap& p, Rng&) {
-          return lps_graph({static_cast<std::uint32_t>(p.get_u64("p", 5)),
-                            static_cast<std::uint32_t>(p.get_u64("q", 13))});
-        });
-  r.add("margulis", "--k", "Margulis-type 8-regular expander on k x k",
-        [](const ParamMap& p, Rng&) {
-          return margulis_expander(static_cast<Vertex>(p.get_u64("k", 100)));
-        });
-  r.add("circulant", "--n --offsets a,b,c", "circulant graph C_n(offsets)",
-        [](const ParamMap& p, Rng&) {
-          return circulant(static_cast<Vertex>(p.get_u64("n", 10000)),
-                           parse_offsets(p.get("offsets", "1,2")));
-        });
-  r.add("lollipop", "--clique --tail", "K_k clique with a path tail",
-        [](const ParamMap& p, Rng&) {
-          return lollipop(static_cast<Vertex>(p.get_u64("clique", 50)),
-                          static_cast<Vertex>(p.get_u64("tail", 50)));
-        });
-  r.add("pcf", "--base FAMILY --alpha A --n N (+ base family params)",
-        "terminal PCF cluster graph: play edge-opening with freezing on a base family to exhaustion, freeze the open subgraph",
-        [](const ParamMap& p, Rng& rng) {
-          const std::string base_name = p.get("base", "regular");
-          if (base_name == "pcf")
-            throw std::invalid_argument("--base pcf would recurse");
-          const Graph base =
-              GeneratorRegistry::instance().create(base_name, p, rng);
-          PcfSchedule schedule(base, pcf_alpha(p), rng);
-          DynamicGraph dyn(base.num_vertices());
-          schedule.run_to_completion(dyn);
-          return dyn.freeze();
-        });
-  r.add("petersen", "", "the Petersen graph",
-        [](const ParamMap&, Rng&) { return petersen_graph(); });
-  r.add("file", "--path", "edge list written by write_edge_list",
-        [](const ParamMap& p, Rng&) {
-          return read_edge_list_file(p.get("path", "graph.txt"));
-        });
+  r.add({"regular", "random r-regular (Steger-Wormald), connected", {kN, kDegree},
+         [](const ParamMap& p, Rng& rng) {
+           return random_regular_connected(get_u32(p, "n"), get_u32(p, "r"), rng);
+         }});
+  r.add({"regular-pairing",
+         "random r-regular (pairing model + edge-swap repair), connected",
+         {kN, kDegree},
+         [](const ParamMap& p, Rng& rng) {
+           return random_regular_pairing_connected(get_u32(p, "n"),
+                                                   get_u32(p, "r"), rng);
+         }});
+  r.add({"hamunion", "union of k random Hamiltonian cycles",
+         {kN, {"k", ParamType::kU32, "2", {}, "Hamiltonian cycles"}},
+         [](const ParamMap& p, Rng& rng) {
+           return hamiltonian_cycle_union(get_u32(p, "n"), get_u32(p, "k"), rng);
+         }});
+  r.add({"cycle", "cycle C_n", {kN},
+         [](const ParamMap& p, Rng&) { return cycle_graph(get_u32(p, "n")); }});
+  r.add({"complete", "complete graph K_n", {kN},
+         [](const ParamMap& p, Rng&) { return complete_graph(get_u32(p, "n")); }});
+  r.add({"hypercube", "hypercube H_r on 2^r vertices",
+         {{"r", ParamType::kU32, "10", {}, "dimension"}},
+         [](const ParamMap& p, Rng&) { return hypercube(get_u32(p, "r")); }});
+  r.add({"torus", "2-D torus (cyclic grid)", {kWidth, kHeight},
+         [](const ParamMap& p, Rng&) {
+           return torus_2d(get_u32(p, "w"), get_u32(p, "h"));
+         }});
+  r.add({"grid", "2-D open grid", {kWidth, kHeight},
+         [](const ParamMap& p, Rng&) {
+           return grid_2d(get_u32(p, "w"), get_u32(p, "h"));
+         }});
+  r.add({"geometric", "random geometric graph in the unit square",
+         {kN, {"radius", ParamType::kDouble, "0.03", {}, "connection radius"}},
+         [](const ParamMap& p, Rng& rng) {
+           return random_geometric(get_u32(p, "n"), p.get_double("radius"), rng);
+         }});
+  r.add({"erdosrenyi", "Erdos-Renyi G(n, p)",
+         {kN, {"p", ParamType::kDouble, "0.001", {}, "edge probability"}},
+         [](const ParamMap& p, Rng& rng) {
+           return erdos_renyi(get_u32(p, "n"), p.get_double("p"), rng);
+         }});
+  r.add({"lps", "Lubotzky-Phillips-Sarnak Ramanujan graph X^{p,q}",
+         {{"p", ParamType::kU32, "5", {}, "prime p = 1 mod 4 (degree p+1)"},
+          {"q", ParamType::kU32, "13", {}, "prime q = 1 mod 4, q != p"}},
+         [](const ParamMap& p, Rng&) {
+           return lps_graph({get_u32(p, "p"), get_u32(p, "q")});
+         }});
+  r.add({"margulis", "Margulis-type 8-regular expander on k x k",
+         {{"k", ParamType::kU32, "100", {}, "side length"}},
+         [](const ParamMap& p, Rng&) { return margulis_expander(get_u32(p, "k")); }});
+  r.add({"circulant", "circulant graph C_n(offsets)",
+         {kN, {"offsets", ParamType::kString, "1,2", {}, "comma-separated offsets"}},
+         [](const ParamMap& p, Rng&) {
+           const auto offsets = parse_u64_list("offsets", p.get("offsets"));
+           return circulant(get_u32(p, "n"), {offsets.begin(), offsets.end()});
+         }});
+  r.add({"lollipop", "K_k clique with a path tail",
+         {{"clique", ParamType::kU32, "50", {}, "clique size"},
+          {"tail", ParamType::kU32, "50", {}, "path length"}},
+         [](const ParamMap& p, Rng&) {
+           return lollipop(get_u32(p, "clique"), get_u32(p, "tail"));
+         }});
+  r.add({"pcf",
+         "terminal PCF cluster graph: play edge-opening with freezing on a base family to exhaustion, freeze the open subgraph",
+         {{"base", ParamType::kFamily, "regular", {},
+           "base family (its parameters apply too)"},
+          kAlpha},
+         [](const ParamMap& p, Rng& rng) {
+           const std::string& base_name = p.get("base");
+           if (base_name == "pcf")
+             throw std::invalid_argument("--base pcf would recurse");
+           const Graph base =
+               GeneratorRegistry::instance().create(base_name, p, rng);
+           PcfSchedule schedule(base, p.get_double("alpha"), rng);
+           DynamicGraph dyn(base.num_vertices());
+           schedule.run_to_completion(dyn);
+           return dyn.freeze();
+         }});
+  r.add({"petersen", "the Petersen graph", {},
+         [](const ParamMap&, Rng&) { return petersen_graph(); }});
+  r.add({"file", "edge list written by write_edge_list",
+         {{"path", ParamType::kString, "graph.txt", {}, "edge-list file"}},
+         [](const ParamMap& p, Rng&) { return read_edge_list_file(p.get("path")); }});
 }
 
 }  // namespace
-
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  // Single-row dynamic program; the strings here are short option names.
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diag = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
-    }
-  }
-  return row[b.size()];
-}
-
-std::vector<std::string> nearest_names(const std::string& name,
-                                       const std::vector<std::string>& candidates,
-                                       std::size_t max_results) {
-  // A suggestion further than ~a third of the query (min 2 edits) is noise:
-  // "eproces" should suggest eprocess, "zzzzz" should suggest nothing.
-  const std::size_t budget = std::max<std::size_t>(2, name.size() / 3);
-  std::vector<std::pair<std::size_t, std::string>> scored;
-  for (const std::string& c : candidates) {
-    const std::size_t d = edit_distance(name, c);
-    if (d <= budget) scored.emplace_back(d, c);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& x, const auto& y) { return x.first < y.first; });
-  if (scored.size() > max_results) scored.resize(max_results);
-  std::vector<std::string> out;
-  out.reserve(scored.size());
-  for (auto& [d, c] : scored) out.push_back(std::move(c));
-  return out;
-}
 
 std::unique_ptr<UnvisitedEdgeRule> make_rule(const std::string& name,
                                              const Graph& g, Rng& rng) {
@@ -321,18 +264,9 @@ std::unique_ptr<UnvisitedEdgeRule> make_rule(const std::string& name,
   if (name == "adversary") return std::make_unique<PreferVisitedEndpointRule>();
   if (name == "greedy") return std::make_unique<PreferUnvisitedEndpointRule>();
   if (name == "priority") return std::make_unique<FixedPriorityRule>(g.num_edges(), rng);
-  std::ostringstream msg;
-  msg << "unknown --rule: " << name;
-  const std::vector<std::string> near = nearest_names(name, rule_names());
-  if (!near.empty()) {
-    msg << " (did you mean:";
-    for (const std::string& n : near) msg << ' ' << n;
-    msg << '?' << ')';
-  }
-  msg << " (known:";
-  for (const auto& k : rule_names()) msg << ' ' << k;
-  msg << ')';
-  throw std::invalid_argument(msg.str());
+  std::string message = unknown_name_message("--rule", name, rule_names()) + " (known:";
+  for (const auto& k : rule_names()) message += ' ' + k;
+  throw std::invalid_argument(message + ')');
 }
 
 const std::vector<std::string>& rule_names() {
@@ -348,6 +282,18 @@ ProcessRegistry& ProcessRegistry::instance() {
     return r;
   }();
   return registry;
+}
+
+ParamSchema GeneratorRegistry::schema(const std::string& name,
+                                      const ParamMap& params) const {
+  const ParamSchema& own = at(name).params;
+  ParamSchema out = own;
+  for (const ParamSpec& spec : own)
+    if (spec.type == ParamType::kFamily) {
+      const ParamSchema& base = at(params.get(spec.name, spec.fallback)).params;
+      out.insert(out.end(), base.begin(), base.end());
+    }
+  return out;
 }
 
 GeneratorRegistry& GeneratorRegistry::instance() {

@@ -6,21 +6,22 @@
 // generated from the registered entries, so adding a process or generator
 // in one place makes it available (and documented) everywhere.
 //
-// Built-in entries are registered on first access; extensions can add their
-// own via add(). Lookup throws std::invalid_argument with the list of known
-// names, so a CLI typo produces a useful message.
+// Each entry declares the parameters its factory reads (a ParamSchema);
+// create() validates a bag against it and fills in the defaults. Built-in
+// entries are registered on first access; extensions add their own via
+// add(). Lookup errors list the known names and suggest the nearest.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/params.hpp"
 #include "engine/process.hpp"
+#include "engine/token_process.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 #include "walks/eprocess.hpp"
@@ -36,47 +37,25 @@ std::unique_ptr<UnvisitedEdgeRule> make_rule(const std::string& name,
 /// Names accepted by make_rule, for help output.
 const std::vector<std::string>& rule_names();
 
-/// Levenshtein edit distance between `a` and `b` — the metric behind the
-/// "did you mean" suggestions in registry lookup errors.
-std::size_t edit_distance(const std::string& a, const std::string& b);
-
-/// The candidates closest to `name` by edit distance, nearest first, capped
-/// at `max_results` and at a distance budget scaled to the query length (so
-/// a wild typo suggests nothing rather than everything). Used by the
-/// registries and make_rule to make typo'd CLI flags and server requests
-/// self-diagnosing.
-std::vector<std::string> nearest_names(const std::string& name,
-                                       const std::vector<std::string>& candidates,
-                                       std::size_t max_results = 3);
-
 namespace detail {
 
-/// Shared registry machinery: named entries with help strings, lookup that
-/// throws listing the known names (plus nearest-match suggestions),
-/// registration-order enumeration. The two concrete registries differ only
-/// in factory signature and error label.
-template <typename FactoryT>
+/// Shared registry machinery: named entries, lookup that throws listing the
+/// known names (plus nearest-match suggestions), registration-order
+/// enumeration. The two concrete registries differ only in entry type and
+/// error label.
+template <typename EntryT>
 class NamedRegistry {
  public:
-  struct Entry {
-    std::string name;
-    std::string params_help;  ///< e.g. "--rule R --start V"
-    std::string summary;      ///< one-line description
-    FactoryT factory;
-  };
-
-  void add(std::string name, std::string params_help, std::string summary,
-           FactoryT factory) {
-    for (const Entry& e : entries_)
-      if (e.name == name)
-        throw std::invalid_argument(std::string(kind_) +
-                                    " already registered: " + name);
-    entries_.push_back(Entry{std::move(name), std::move(params_help),
-                             std::move(summary), std::move(factory)});
+  /// Registers `entry`; throws std::invalid_argument on a duplicate name.
+  void add(EntryT entry) {
+    if (contains(entry.name))
+      throw std::invalid_argument(std::string(kind_) +
+                                  " already registered: " + entry.name);
+    entries_.push_back(std::move(entry));
   }
 
   bool contains(const std::string& name) const {
-    for (const Entry& e : entries_)
+    for (const EntryT& e : entries_)
       if (e.name == name) return true;
     return false;
   }
@@ -84,95 +63,108 @@ class NamedRegistry {
   /// The entry registered under `name`; throws std::invalid_argument with
   /// nearest-match suggestions when absent. Lets callers validate a name
   /// (and get the self-diagnosing error) without constructing anything.
-  const Entry& at(const std::string& name) const { return find(name); }
+  const EntryT& at(const std::string& name) const {
+    for (const EntryT& e : entries_)
+      if (e.name == name) return e;
+    std::string message = unknown_name_message(kind_, name, names()) + " (known:";
+    for (const EntryT& e : entries_) message += ' ' + e.name;
+    throw std::invalid_argument(message + ')');
+  }
 
   /// Registered names in registration order.
   std::vector<std::string> names() const {
     std::vector<std::string> out;
     out.reserve(entries_.size());
-    for (const Entry& e : entries_) out.push_back(e.name);
+    for (const EntryT& e : entries_) out.push_back(e.name);
     return out;
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  const std::vector<EntryT>& entries() const { return entries_; }
 
  protected:
   explicit NamedRegistry(const char* kind) : kind_(kind) {}
 
-  const Entry& find(const std::string& name) const {
-    for (const Entry& e : entries_)
-      if (e.name == name) return e;
-    std::ostringstream msg;
-    msg << "unknown " << kind_ << ": " << name;
-    const std::vector<std::string> near = nearest_names(name, names());
-    if (!near.empty()) {
-      msg << " (did you mean:";
-      for (const std::string& n : near) msg << ' ' << n;
-      msg << '?' << ')';
-    }
-    msg << " (known:";
-    for (const Entry& e : entries_) msg << ' ' << e.name;
-    msg << ')';
-    throw std::invalid_argument(msg.str());
-  }
-
  private:
   const char* kind_;
-  std::vector<Entry> entries_;
+  std::vector<EntryT> entries_;
 };
 
 }  // namespace detail
 
 /// Constructs a process on `g`. `params` carries process-specific options
-/// (start, rule, d, walkers, ...); `rng` is available for construction-time
-/// randomness (e.g. the priority rule's permutation) and is the same stream
-/// the walk will subsequently be driven with. (Distinct from the experiment
-/// harness's ProcessFactory, which has already bound its parameters.)
+/// (start, rule, d, walkers, ...) with every schema default filled in;
+/// `rng` is available for construction-time randomness (e.g. the priority
+/// rule's permutation) and is the same stream the walk will subsequently be
+/// driven with. (Distinct from the experiment harness's ProcessFactory,
+/// which has already bound its parameters.)
 using RegistryProcessFactory = std::function<std::unique_ptr<WalkProcess>(
     const Graph& g, const ParamMap& params, Rng& rng)>;
+
+/// One registered walk process: its name, help line, declared parameters,
+/// kind, and factory.
+struct ProcessEntry {
+  std::string name;                ///< registry key ("eprocess")
+  std::string summary;             ///< one-line description
+  ParamSchema params;              ///< every parameter the factory reads
+  RegistryProcessFactory factory;  ///< builds the process
+  ProcessKind kind = ProcessKind::kWalk;  ///< one walk or interacting tokens
+};
 
 /// Walk processes by name ("eprocess", "srw", ...): the CLI's --process /
 /// --walk dispatch and the construction path every bench and experiment
 /// uses.
-class ProcessRegistry : public detail::NamedRegistry<RegistryProcessFactory> {
+class ProcessRegistry : public detail::NamedRegistry<ProcessEntry> {
  public:
-  /// Factory signature stored per entry.
-  using Factory = RegistryProcessFactory;
-
   /// The global registry, populated with the built-in processes.
   static ProcessRegistry& instance();
 
-  /// Constructs process `name` on `g` with `params`; throws
-  /// std::invalid_argument (listing known names) for unknown `name`.
+  /// Constructs process `name` on `g` from `params` (validated against the
+  /// entry's schema, defaults filled in; keys it does not declare are
+  /// ignored). Throws std::invalid_argument for an unknown `name` (listing
+  /// known names) or a malformed declared value.
   std::unique_ptr<WalkProcess> create(const std::string& name, const Graph& g,
                                       const ParamMap& params, Rng& rng) const {
-    return find(name).factory(g, params, rng);
+    const ProcessEntry& e = at(name);
+    return e.factory(g, params.with_defaults(e.params), rng);
   }
 
  private:
   ProcessRegistry() : NamedRegistry("--process") {}
 };
 
-/// Builds a graph family from parsed options; `rng` drives randomised
-/// constructions (random regular, G(n,p), geometric, ...).
+/// Builds a graph family from parsed options (schema defaults filled in);
+/// `rng` drives randomised constructions (random regular, G(n,p),
+/// geometric, ...).
 using GraphGeneratorFactory =
     std::function<Graph(const ParamMap& params, Rng& rng)>;
 
+/// One registered graph family: its name, help line, declared parameters,
+/// and factory.
+struct GeneratorEntry {
+  std::string name;     ///< registry key ("regular")
+  std::string summary;  ///< one-line description
+  ParamSchema params;   ///< every parameter the factory reads
+  GraphGeneratorFactory factory;  ///< builds the graph
+};
+
 /// Graph families by name ("regular", "cycle", "lps", ...): the CLI's
 /// --graph dispatch.
-class GeneratorRegistry : public detail::NamedRegistry<GraphGeneratorFactory> {
+class GeneratorRegistry : public detail::NamedRegistry<GeneratorEntry> {
  public:
-  /// Factory signature stored per entry.
-  using Factory = GraphGeneratorFactory;
-
   /// The global registry, populated with the built-in graph families.
   static GeneratorRegistry& instance();
 
-  /// Constructs graph family `name` with `params`; throws
-  /// std::invalid_argument (listing known names) for unknown `name`.
+  /// Constructs graph family `name` from `params`, as
+  /// ProcessRegistry::create does for processes.
   Graph create(const std::string& name, const ParamMap& params, Rng& rng) const {
-    return find(name).factory(params, rng);
+    const GeneratorEntry& e = at(name);
+    return e.factory(params.with_defaults(e.params), rng);
   }
+
+  /// Every parameter family `name` reads from `params`: its own schema plus,
+  /// for each kFamily parameter (pcf's --base), the named family's schema.
+  /// Throws std::invalid_argument for unknown names.
+  ParamSchema schema(const std::string& name, const ParamMap& params) const;
 
  private:
   GeneratorRegistry() : NamedRegistry("--graph") {}

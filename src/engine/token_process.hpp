@@ -41,6 +41,13 @@ class TokenProcess : public WalkProcess {
   virtual std::uint64_t coalescence_step() const = 0;
 };
 
+/// What a registered process is (ProcessEntry::kind): a run with no
+/// explicit target covers vertices with a walk and coalesces tokens.
+enum class ProcessKind : std::uint8_t {
+  kWalk,  ///< a WalkProcess that is not a TokenProcess
+  kToken  ///< a TokenProcess
+};
+
 // ---- Token-population termination predicates ------------------------------
 //
 // These are evaluated over the process (not the CoverState), so drive them

@@ -1,7 +1,5 @@
 #include "serve/graph_store.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,44 +11,6 @@
 #include "util/rng.hpp"
 
 namespace ewalk {
-
-namespace {
-
-// Run-level keys that can never be graph parameters: protocol fields, trial
-// scheduling, process dispatch, and daemon flags. Used for open-ended
-// families whose params_help does not enumerate a closed key set.
-bool is_run_level_key(const std::string& key) {
-  static const char* const kRunKeys[] = {
-      "id",       "op",       "graph",     "generator", "process",
-      "walk",     "trials",   "threads",   "seed",      "max-steps",
-      "target",   "target-tokens",         "analysis",  "csv",
-      "profile",  "sweep",    "max-trials", "ci-width", "bundle",
-      "pin",      "help",     "port",      "stdin",     "cache-bytes",
-      "inflight"};
-  for (const char* k : kRunKeys)
-    if (key == k) return true;
-  return false;
-}
-
-// Extracts the "--key" tokens of a registry params_help string, e.g.
-// "[--rule uniform|first] [--start V]" -> {"rule", "start"}.
-std::vector<std::string> declared_keys(const std::string& params_help) {
-  std::vector<std::string> keys;
-  std::size_t pos = 0;
-  while ((pos = params_help.find("--", pos)) != std::string::npos) {
-    pos += 2;
-    std::size_t end = pos;
-    while (end < params_help.size() &&
-           (std::isalnum(static_cast<unsigned char>(params_help[end])) ||
-            params_help[end] == '-'))
-      ++end;
-    if (end > pos) keys.push_back(params_help.substr(pos, end - pos));
-    pos = end;
-  }
-  return keys;
-}
-
-}  // namespace
 
 std::uint64_t CachedGraph::bytes() const noexcept {
   const std::uint64_t n = graph_.num_vertices();
@@ -79,35 +39,15 @@ const GraphAnalysis& CachedGraph::analysis(bool* hit) const {
   return *analysis_;
 }
 
-ParamMap GraphStore::canonical_graph_params(const std::string& generator,
-                                            const ParamMap& params) {
-  std::string help;
-  bool known = false;
-  for (const auto& e : GeneratorRegistry::instance().entries())
-    if (e.name == generator) {
-      known = true;
-      help = e.params_help;
-      break;
-    }
-  ParamMap canonical;
-  if (known && help.find('+') == std::string::npos) {
-    for (const std::string& key : declared_keys(help))
-      if (params.has(key)) canonical.set(key, params.get(key, ""));
-  } else {
-    // Open-ended family (pcf forwards to its base) or unknown generator:
-    // keep everything that cannot be a run-level option.
-    for (const auto& [key, value] : params.values())
-      if (!is_run_level_key(key)) canonical.set(key, value);
-  }
-  return canonical;
-}
-
 std::string GraphStore::cache_key(const std::string& generator,
                                   const ParamMap& params, std::uint64_t seed) {
+  // ParamMap iterates its std::map in key order — already canonical.
+  ParamMap canonical;
+  for (const ParamSpec& spec : GeneratorRegistry::instance().schema(generator, params))
+    if (params.has(spec.name))
+      canonical.set(spec.name, canonical_param(spec, params.get(spec.name)));
   std::ostringstream key;
   key << generator << "|seed=" << seed;
-  // ParamMap iterates its std::map in key order — already canonical.
-  const ParamMap canonical = canonical_graph_params(generator, params);
   for (const auto& [k, v] : canonical.values()) key << '|' << k << '=' << v;
   return key.str();
 }

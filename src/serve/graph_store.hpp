@@ -8,13 +8,11 @@
 // the constructed graph bit-for-bit, because every generator draws only
 // from Rng(seed) and reads only its declared parameters.
 //
-// Canonical params: the request's parameter bag is filtered down to the
-// keys the generator's registry entry declares in its params_help (--n,
-// --r, ...), so two requests differing only in walk-level parameters
-// (--rule, --tokens) hit the same cached instance. Open-ended families
-// whose help ends in "+ base family params" (pcf) fall back to the full
-// bag minus run-level keys — over-inclusive keys can only lower the hit
-// rate, never alias two different graphs.
+// Canonical params: only the keys the generator's schema declares (for
+// pcf, plus its base family's), in canonical form — decimal integers,
+// shortest round-trip reals — so requests differing in walk-level
+// parameters (--rule, --tokens) or in spelling ("1e3" vs "1000") share an
+// entry.
 //
 // Lifetime: acquire() hands out shared_ptr<const CachedGraph>; eviction
 // drops the store's reference only, so in-flight requests keep their
@@ -135,19 +133,12 @@ class GraphStore {
   /// The configured byte budget (0 = unlimited).
   std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
-  /// The canonical cache key for (generator, params, seed) — the generator
-  /// name, the canonicalised parameter subset, and the seed, joined into
-  /// one printable string. Exposed for tests and log lines.
+  /// The canonical cache key for (generator, params, seed): the generator
+  /// name, the seed, and each key GeneratorRegistry::schema declares, in
+  /// canonical_param form and key order. Throws std::invalid_argument for
+  /// an unknown generator or a malformed value. Exposed for tests.
   static std::string cache_key(const std::string& generator,
                                const ParamMap& params, std::uint64_t seed);
-
-  /// The canonical parameter subset of `params` for `generator`: the keys
-  /// its registry entry declares (parsed from params_help), or the full
-  /// bag minus run-level keys for open-ended families. Unknown generators
-  /// canonicalise to the full non-run bag (the lookup error surfaces at
-  /// construction, where it can name suggestions).
-  static ParamMap canonical_graph_params(const std::string& generator,
-                                         const ParamMap& params);
 
  private:
   struct Entry {

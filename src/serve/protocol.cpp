@@ -1,12 +1,11 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/registry.hpp"
-#include "util/cli.hpp"
 
 namespace ewalk {
 
@@ -227,38 +226,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-// ---- Request field dispatch ------------------------------------------------
-
-// Every top-level field a request may carry: the protocol controls (op, id,
-// params) plus the scalar run fields, which mirror the CLI flags
-// one-for-one including the alias spellings util/cli canonicalises.
-const std::vector<std::string>& known_request_fields() {
-  static const std::vector<std::string> kFields = {
-      "op",     "id",      "params",  "graph",   "generator",
-      "process", "walk",   "trials",  "threads", "seed",
-      "max-steps", "target", "target-tokens", "bundle", "analysis"};
-  return kFields;
-}
-
-const std::vector<std::string>& known_ops() {
-  static const std::vector<std::string> kOps = {"run", "ping", "stats",
-                                                "drain", "shutdown"};
-  return kOps;
-}
-
-[[noreturn]] void fail_unknown(const std::string& kind, const std::string& name,
-                               const std::vector<std::string>& known) {
-  std::ostringstream message;
-  message << "unknown " << kind << ": " << name;
-  const auto near = nearest_names(name, known);
-  if (!near.empty()) {
-    message << " (did you mean:";
-    for (const auto& n : near) message << ' ' << n;
-    message << "?)";
-  }
-  throw std::invalid_argument(message.str());
-}
-
 // ---- Serialization helpers -------------------------------------------------
 
 void append_samples(std::ostringstream& out, const char* key,
@@ -319,23 +286,19 @@ ServerRequest parse_request(const std::string& line) {
         fields.set(pkey, pvalue.as_param_string());
       continue;
     }
-    bool known = false;
-    for (const auto& name : known_request_fields())
-      if (name == key) { known = true; break; }
-    if (!known) fail_unknown("request field", key, known_request_fields());
-    fields.set(key, value.as_param_string());
+    // Top-level fields are run fields; graph and process parameters ride
+    // in "params".
+    const ParamMap field{{key, value.as_param_string()}};
+    field.check({&run_schema()});
+    fields.set(key, field.get(key));
   }
 
-  bool op_known = false;
-  for (const auto& op : known_ops())
-    if (op == request.op) { op_known = true; break; }
-  if (!op_known) fail_unknown("op", request.op, known_ops());
+  const std::vector<std::string> ops = {"run", "ping", "stats", "drain", "shutdown"};
+  if (std::find(ops.begin(), ops.end(), request.op) == ops.end())
+    throw std::invalid_argument(unknown_name_message("op", request.op, ops));
 
   request.id = fields.get("id", "");
-  if (request.op == "run") {
-    canonicalize_run_params(fields);
-    request.run = run_request_from_params(fields);
-  }
+  if (request.op == "run") request.run = run_request_from_params(fields);
   return request;
 }
 
@@ -356,15 +319,10 @@ std::string serialize_request(const ServerRequest& request) {
       << ",\"target-tokens\":" << run.target_tokens
       << ",\"bundle\":" << run.bundle_width
       << ",\"analysis\":" << (run.analysis ? "true" : "false");
-  // Everything else in the bag is a generator/process parameter; the scalar
-  // fields above were folded into the map by parse_request, so skip them.
+  // run.params holds only generator/process parameters.
   std::ostringstream params;
   bool first = true;
   for (const auto& [key, value] : run.params.values()) {
-    bool scalar = key == "id";
-    for (const auto& name : known_request_fields())
-      if (name == key) { scalar = true; break; }
-    if (scalar) continue;
     params << (first ? "" : ",") << json_quote(key) << ':' << json_quote(value);
     first = false;
   }

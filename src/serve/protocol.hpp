@@ -11,13 +11,12 @@
 //   {"op":"run","id":"r1","graph":"regular","process":"eprocess",
 //    "trials":5,"seed":42,"params":{"n":"256","r":"3"}}
 //
-// `op` defaults to "run". Scalar run fields mirror the `ewalk` CLI flags
-// one-for-one (including the --walk/--generator aliases, folded by the same
-// canonical table in util/cli); extra generator/process parameters ride in
-// the nested "params" object. Unknown top-level fields are rejected with
-// nearest-match suggestions — a typo'd "trails" must not silently run 5
-// trials. Numbers keep their literal spelling end-to-end (a 64-bit seed
-// never transits a double).
+// `op` defaults to "run". Scalar run fields are run_schema()'s, the same
+// declarations as the `ewalk` CLI flags; generator/process parameters ride
+// in the nested "params" object. Undeclared fields and parameters are
+// rejected with nearest-match suggestions — a typo'd "trails" must not
+// silently run 5 trials. Numbers keep their literal spelling end-to-end (a
+// 64-bit seed never transits a double).
 //
 // Determinism: serializers emit fields in a fixed order and format doubles
 // with %.17g (shortest round-trip not needed; 17 significant digits is
@@ -77,10 +76,10 @@ struct ServerRequest {
 };
 
 /// Parses one request line: JSON object -> ServerRequest. Scalar run fields
-/// and the nested "params" object are folded into one ParamMap (aliases
-/// canonicalised via util/cli's shared table), then validated by
-/// run_request_from_params. Unknown ops and unknown top-level fields throw
-/// std::invalid_argument with nearest-match suggestions.
+/// and the nested "params" object are folded into one ParamMap, then
+/// validated by run_request_from_params. Unknown ops, unknown top-level
+/// fields and undeclared parameters throw std::invalid_argument with
+/// nearest-match suggestions.
 ServerRequest parse_request(const std::string& line);
 
 /// Serializes a request back to a canonical protocol line (fields in fixed

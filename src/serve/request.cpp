@@ -6,7 +6,6 @@
 #include "covertime/experiment.hpp"
 #include "engine/budget.hpp"
 #include "engine/registry.hpp"
-#include "engine/token_process.hpp"
 #include "graph/algorithms.hpp"
 #include "util/timer.hpp"
 
@@ -31,27 +30,76 @@ std::string run_target_name(RunTarget target) {
   return "auto";
 }
 
-RunRequest run_request_from_params(const ParamMap& params) {
+const ParamSchema& run_schema() {
+  static const ParamSchema schema = [] {
+    using std::to_string;
+    const RunRequest d;
+    return ParamSchema{
+        {"id", ParamType::kString, d.id, {}, "request tag echoed in responses"},
+        {"graph", ParamType::kString, d.graph, {}, "graph family", "generator"},
+        {"process", ParamType::kString, d.process, {}, "walk process", "walk"},
+        {"trials", ParamType::kU32, to_string(d.trials), {1.0}, "samples to draw"},
+        {"threads", ParamType::kU32, to_string(d.threads), {},
+         "parallelism (0 = all hardware threads; more are clamped)"},
+        {"seed", ParamType::kU64, to_string(d.seed), {}, "master seed"},
+        {"max-steps", ParamType::kU64, to_string(d.max_steps), {},
+         "per-trial step budget (0 = default_step_budget(g))"},
+        {"target", ParamType::kString, run_target_name(d.target), {},
+         "vertices|edges|coalescence (auto = coalescence for token processes)"},
+        {"target-tokens", ParamType::kU32, to_string(d.target_tokens), {},
+         "coalescence: stop at <= this many tokens"},
+        {"bundle", ParamType::kU32, to_string(d.bundle_width), {},
+         "trials interleaved per task to hide DRAM latency (same samples)"},
+        {"analysis", ParamType::kBool, d.analysis ? "true" : "false", {},
+         "add the cached spectral/girth analysis block"},
+    };
+  }();
+  return schema;
+}
+
+RunRequest run_request_from_params(const ParamMap& bag, const ParamSchema& extra) {
+  ParamMap params = bag;
+  for (const ParamSpec& spec : run_schema()) {
+    if (spec.alias.empty() || !params.has(spec.alias)) continue;
+    const std::string value = params.get(spec.alias);
+    if (params.has(spec.name) && params.get(spec.name) != value)
+      throw std::invalid_argument(
+          "--" + spec.alias + " is a synonym of --" + spec.name +
+          ", but both were given with different values ('" + value + "' vs '" +
+          params.get(spec.name) + "')");
+    params.set(spec.name, value);
+    params.erase(spec.alias);
+  }
+
   RunRequest req;
-  req.id = params.get("id", "");
-  req.graph = params.get("graph", "regular");
-  req.process = params.get("process", "eprocess");
-  req.params = params;
-  const std::int64_t trials = params.get_int("trials", 5);
-  if (trials <= 0) throw std::invalid_argument("--trials must be >= 1");
-  req.trials = static_cast<std::uint32_t>(trials);
-  const std::int64_t threads = params.get_int("threads", 1);
-  if (threads < 0)
-    throw std::invalid_argument(
-        "--threads must be >= 0 (0 = all hardware threads)");
-  req.threads = static_cast<std::uint32_t>(threads);
-  req.seed = params.get_u64("seed", 1);
-  req.max_steps = params.get_u64("max-steps", 0);
-  req.target = parse_run_target(params.get("target", ""));
-  req.target_tokens =
-      static_cast<std::uint32_t>(params.get_u64("target-tokens", 1));
-  req.bundle_width = static_cast<std::uint32_t>(params.get_u64("bundle", 1));
-  req.analysis = params.get_bool("analysis", false);
+  req.graph = params.get("graph", req.graph);
+  req.process = params.get("process", req.process);
+  // With both names known, so is the whole key set: every key must be a
+  // run field, one of the caller's `extra` keys, or a parameter the family
+  // or the process declares. An unknown name is left to execute_run.
+  if (GeneratorRegistry::instance().contains(req.graph) &&
+      ProcessRegistry::instance().contains(req.process)) {
+    const ParamSchema graph_schema =
+        GeneratorRegistry::instance().schema(req.graph, params);
+    params.check({&run_schema(), &extra, &graph_schema,
+                  &ProcessRegistry::instance().at(req.process).params});
+  }
+
+  req.id = params.get("id", req.id);
+  req.trials = static_cast<std::uint32_t>(params.get_u64("trials", req.trials));
+  req.threads = static_cast<std::uint32_t>(params.get_u64("threads", req.threads));
+  req.seed = params.get_u64("seed", req.seed);
+  req.max_steps = params.get_u64("max-steps", req.max_steps);
+  req.target = parse_run_target(params.get("target", run_target_name(req.target)));
+  req.target_tokens = static_cast<std::uint32_t>(
+      params.get_u64("target-tokens", req.target_tokens));
+  req.bundle_width =
+      static_cast<std::uint32_t>(params.get_u64("bundle", req.bundle_width));
+  req.analysis = params.get_bool("analysis", req.analysis);
+  // What remains are the family's and the process's parameters.
+  for (const ParamSchema* schema : {&run_schema(), &extra})
+    for (const ParamSpec& spec : *schema) params.erase(spec.name);
+  req.params = std::move(params);
   return req;
 }
 
@@ -59,12 +107,23 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
   RunResult out;
   out.id = req.id;
   try {
-    if (req.trials == 0) throw std::invalid_argument("--trials must be >= 1");
-    // Validate both registry names before touching the graph cache, so a
-    // typo'd request fails fast with nearest-match suggestions and costs no
-    // construction (store counters stay meaningful).
-    ProcessRegistry::instance().at(req.process);
-    GeneratorRegistry::instance().at(req.graph);
+    // Validate both names and every parameter before touching the graph
+    // cache, so a bad request fails fast with nearest-match suggestions
+    // and costs no construction (store counters stay meaningful).
+    const ProcessEntry& process = ProcessRegistry::instance().at(req.process);
+    const ParamSchema graph_schema =
+        GeneratorRegistry::instance().schema(req.graph, req.params);
+    req.params.check({&graph_schema, &process.params});
+
+    // The declared kind resolves the target: token processes default to
+    // coalescence, and a coalescence target on a walk is rejected here,
+    // before any graph or trial is built.
+    out.target = req.target;
+    if (out.target == RunTarget::kAuto)
+      out.target = process.kind == ProcessKind::kToken ? RunTarget::kCoalescence
+                                                       : RunTarget::kVertices;
+    const TrialTarget target(out.target, req.target_tokens);
+    target.check(process.kind);
 
     std::shared_ptr<const CachedGraph> cached;
     if (store != nullptr) {
@@ -80,21 +139,6 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     out.graph = cached;
     const Graph& g = cached->graph();
 
-    // Resolve the target from a probe construction, exactly as the CLI did:
-    // token processes default to coalescence, and a coalescence target on a
-    // non-token process is rejected on this thread, not inside a worker.
-    {
-      Rng probe_rng(req.seed);
-      auto probe =
-          ProcessRegistry::instance().create(req.process, g, req.params, probe_rng);
-      out.target = req.target;
-      if (out.target == RunTarget::kAuto)
-        out.target = dynamic_cast<TokenProcess*>(probe.get()) != nullptr
-                         ? RunTarget::kCoalescence
-                         : RunTarget::kVertices;
-      TrialTarget(out.target, req.target_tokens).check(*probe);
-    }
-
     // The trial phase: one registry-constructed process per trial on the
     // shared graph, driven by the one trial loop (run_target_trials) — so
     // CLI and server samples are bit-identical by construction.
@@ -106,8 +150,8 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     out.step_samples.reserve(req.trials);
     out.meeting_samples.reserve(req.trials);
     WallTimer timer;
-    const std::vector<TrialOutcome> trials = run_target_trials(
-        req, TrialTarget(out.target, req.target_tokens), [&](Rng& rng) {
+    const std::vector<TrialOutcome> trials =
+        run_target_trials(req, target, [&](Rng& rng) {
           return TrialSetup{nullptr, ProcessRegistry::instance().create(
                                          req.process, g, req.params, rng)};
         });

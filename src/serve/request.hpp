@@ -25,9 +25,9 @@
 
 namespace ewalk {
 
-/// What a run should drive each trial to. kAuto resolves like the CLI: a
-/// token process (coalescing-*, herman) targets coalescence, everything
-/// else vertex cover.
+/// What a run should drive each trial to. kAuto resolves from the
+/// process's declared kind: a token process (coalescing-*, herman) targets
+/// coalescence, everything else vertex cover.
 enum class RunTarget : std::uint8_t {
   kAuto,         ///< resolve from the process kind (the CLI default)
   kVertices,     ///< run each trial to vertex cover
@@ -43,13 +43,14 @@ RunTarget parse_run_target(const std::string& name);
 /// "coalescence"; kAuto renders as "auto").
 std::string run_target_name(RunTarget target);
 
-/// The canonical run configuration (see file comment). Field names mirror
-/// the CLI flags one-for-one; protocol requests carry the same names, so
-/// the two surfaces cannot diverge.
+/// The canonical run configuration (see file comment). Its defaults are
+/// the run schema's (run_schema()); field names mirror the CLI flags
+/// one-for-one and protocol requests carry the same names, so the two
+/// surfaces cannot diverge.
 struct RunRequest {
   std::string id;        ///< request tag echoed in responses ("" for CLI runs)
-  std::string graph;     ///< generator name (--graph; alias --generator)
-  std::string process;   ///< process name (--process; alias --walk)
+  std::string graph = "regular";     ///< generator name (--graph; alias --generator)
+  std::string process = "eprocess";  ///< process name (--process; alias --walk)
   ParamMap params;       ///< generator + process parameters (--n, --rule, ...)
   std::uint32_t trials = 5;       ///< samples to draw (--trials)
   std::uint32_t threads = 1;      ///< parallelism for this run; 0 = hardware
@@ -84,19 +85,27 @@ struct RunResult {
   bool analysis_cache_hit = false;        ///< analysis served from cache
 };
 
-/// Builds a RunRequest from a canonicalised flag/field map (util/cli has
-/// already folded --walk/--generator aliases). The full map is retained as
-/// req.params, exactly as the CLI forwards its flag bag to the registries.
-/// Throws std::invalid_argument on malformed values (bad --target, ...).
-RunRequest run_request_from_params(const ParamMap& params);
+/// The run's own parameters: each RunRequest field but `params`, with its
+/// default taken from RunRequest{} and its alias (--walk, --generator).
+const ParamSchema& run_schema();
 
-/// Executes a run: graph from `store` (or a private construction when
-/// `store` is null), target resolved via a probe process, then
-/// `req.trials` trials through run_target_trials (bundles of
+/// Builds a RunRequest from a flag/field map: aliases fold onto their
+/// canonical keys (both with different values throws), and every key must
+/// be a run field, one of `extra` (a surface's own flags) or a parameter
+/// the family or the process declares, with a valid value — else
+/// std::invalid_argument names each unknown key with its nearest declared
+/// names. An unknown family or process is left to execute_run. req.params
+/// keeps the keys that are neither run fields nor `extra`.
+RunRequest run_request_from_params(const ParamMap& params,
+                                   const ParamSchema& extra = {});
+
+/// Executes a run: names and parameters are checked against the schemas,
+/// the target resolves from the process's declared kind, the graph comes
+/// from `store` (or a private construction when `store` is null), then
+/// `req.trials` trials run through run_target_trials (bundles of
 /// req.bundle_width) with per-trial streams derived from req.seed. Never
-/// throws — failures come back as ok == false with
-/// the exception message in `error`, so one bad request cannot kill a
-/// serving daemon.
+/// throws — failures come back as ok == false with the exception message
+/// in `error`, so one bad request cannot kill a serving daemon.
 RunResult execute_run(const RunRequest& req, GraphStore* store = nullptr);
 
 }  // namespace ewalk

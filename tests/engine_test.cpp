@@ -189,6 +189,40 @@ TEST(ProcessRegistry, EveryRegisteredProcessCoversCycleAndHypercube) {
   }
 }
 
+TEST(ProcessRegistry, DeclaredKindMatchesConstruction) {
+  // execute_run resolves the run target from the declared kind, so every
+  // declaration must match what its factory builds.
+  const Graph g = cycle_graph(33);
+  for (const ProcessEntry& e : ProcessRegistry::instance().entries()) {
+    Rng rng(5);
+    const auto walk = ProcessRegistry::instance().create(e.name, g, ParamMap{}, rng);
+    EXPECT_EQ(dynamic_cast<const TokenProcess*>(walk.get()) != nullptr,
+              e.kind == ProcessKind::kToken)
+        << e.name;
+  }
+}
+
+TEST(ProcessRegistry, SchemaRangesAreCheckedAtConstruction) {
+  const Graph g = cycle_graph(16);
+  Rng rng(1);
+  EXPECT_THROW(ProcessRegistry::instance().create(
+                   "multi-eprocess", g, ParamMap{{"walkers", "0"}}, rng),
+               std::invalid_argument);
+  EXPECT_THROW(ProcessRegistry::instance().create(
+                   "pcf-srw", g, ParamMap{{"alpha", "0"}}, rng),
+               std::invalid_argument);
+  EXPECT_THROW(ProcessRegistry::instance().create(
+                   "pcf-srw", g, ParamMap{{"dt", "-1"}}, rng),
+               std::invalid_argument);
+  // Graph-dependent checks stay in the factory.
+  EXPECT_THROW(ProcessRegistry::instance().create(
+                   "srw", g, ParamMap{{"start", "16"}}, rng),
+               std::invalid_argument);
+  // Keys another entry declares pass through untouched.
+  EXPECT_NO_THROW(ProcessRegistry::instance().create(
+      "srw", g, ParamMap{{"tokens", "not-a-number"}}, rng));
+}
+
 TEST(ProcessRegistry, RegistryEProcessMatchesDirectConstructionSeedForSeed) {
   Rng grng(21);
   const Graph g = random_regular_connected(150, 4, grng);

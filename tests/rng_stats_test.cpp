@@ -183,14 +183,45 @@ TEST(Stats, RunningStatsMatchesSummarize) {
 TEST(Cli, ParsesForms) {
   // Note: a bare flag greedily consumes a following non-flag token, so
   // positionals come first (or use --flag=true).
-  const char* argv[] = {"prog", "positional", "--n=100", "--seed", "7", "--verbose"};
-  Cli cli(6, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "positional", "--n=100", "--seed", "7",
+                        "--bad=abc", "--big=1e9", "--frac=2.5", "--exact=1.5e3",
+                        "--neg=-1", "--lazy=maybe", "--no=0", "--yes=yes",
+                        "--tail=12x", "--huge=1e20", "--verbose"};
+  Cli cli(16, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("n", 0), 100);
   EXPECT_EQ(cli.get_u64("seed", 0), 7u);
   EXPECT_TRUE(cli.get_bool("verbose", false));
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
   ASSERT_EQ(cli.positionals().size(), 1u);
   EXPECT_EQ(cli.positionals()[0], "positional");
+
+  // One strict parser behind every getter: the whole token must parse, and
+  // the error names the key and the value.
+  try {
+    cli.get_u64("bad", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_EQ(std::string(ex.what()),
+              "bad value for --bad: 'abc' (want an unsigned integer)");
+  }
+  EXPECT_EQ(cli.get_u64("big", 0), 1000000000u);  // exact exponent forms
+  EXPECT_EQ(cli.get_u64("exact", 0), 1500u);
+  EXPECT_EQ(cli.get_int("exact", 0), 1500);
+  EXPECT_DOUBLE_EQ(cli.get_double("big", 0), 1e9);
+  EXPECT_THROW(cli.get_u64("frac", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("frac", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_u64("neg", 0), std::invalid_argument);  // not 2^64 - 1
+  EXPECT_EQ(cli.get_int("neg", 0), -1);
+  EXPECT_THROW(cli.get_u64("tail", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("tail", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_u64("huge", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_bool("lazy", false), std::invalid_argument);
+  EXPECT_TRUE(cli.get_bool("yes", false));
+  EXPECT_FALSE(cli.get_bool("no", true));
+  EXPECT_EQ(parse_u64_list("ns", "3,4,8"), (std::vector<std::uint64_t>{3, 4, 8}));
+  EXPECT_EQ(parse_u64_list("ns", "1e5"), (std::vector<std::uint64_t>{100000}));
+  EXPECT_THROW(parse_u64_list("ns", "3,,8"), std::invalid_argument);
+  EXPECT_THROW(parse_u64_list("ns", "10k"), std::invalid_argument);
 }
 
 TEST(Cli, DoubleAndDefaults) {
@@ -199,6 +230,17 @@ TEST(Cli, DoubleAndDefaults) {
   EXPECT_DOUBLE_EQ(cli.get_double("alpha", 0), 0.5);
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 1.25), 1.25);
   EXPECT_FALSE(cli.has("beta"));
+
+  // Canonical text: decimal integers, shortest round-trip reals.
+  const ParamSpec u{"n", ParamType::kU32, "", {}, ""};
+  const ParamSpec d{"radius", ParamType::kDouble, "", {0.0, true}, ""};
+  EXPECT_EQ(canonical_param(u, "1e3"), "1000");
+  EXPECT_EQ(canonical_param(u, "1000"), "1000");
+  EXPECT_THROW(canonical_param(u, "5e9"), std::invalid_argument);  // >= 2^32
+  EXPECT_EQ(canonical_param(d, "0.03"), "0.03");
+  EXPECT_EQ(canonical_param(d, "3e-2"), "0.03");
+  EXPECT_EQ(canonical_param(d, "1.0"), "1");
+  EXPECT_THROW(canonical_param(d, "0"), std::invalid_argument);  // > 0
 }
 
 TEST(Csv, WritesHeaderAndRows) {

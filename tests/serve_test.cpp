@@ -203,6 +203,19 @@ TEST(GraphStoreTest, CacheKeyIsCanonical) {
             GraphStore::cache_key("cycle", cycle_params(64), 7));
   EXPECT_NE(GraphStore::cache_key("cycle", cycle_params(64), 7),
             GraphStore::cache_key("cycle", cycle_params(64), 8));
+  // Numbers key by value, not spelling.
+  EXPECT_EQ(GraphStore::cache_key("cycle", ParamMap{{"n", "1e3"}}, 7),
+            GraphStore::cache_key("cycle", ParamMap{{"n", "1000"}}, 7));
+  // pcf keys on {base, alpha} plus the base family's schema: a walk-level
+  // parameter does not split the entry.
+  const ParamMap pcf{{"base", "regular"}, {"alpha", "0.5"}, {"n", "64"},
+                     {"r", "4"}, {"rule", "first"}};
+  ParamMap pcf_uniform = pcf;
+  pcf_uniform.set("rule", "uniform");
+  EXPECT_EQ(GraphStore::cache_key("pcf", pcf, 7),
+            GraphStore::cache_key("pcf", pcf_uniform, 7));
+  EXPECT_EQ(GraphStore::cache_key("pcf", pcf, 7),
+            "pcf|seed=7|alpha=0.5|base=regular|n=64|r=4");
 }
 
 TEST(GraphStoreTest, EvictsLruUnderByteBudget) {
@@ -324,10 +337,94 @@ TEST(ExecuteRun, RegistrySuggestionsForGraphFamilies) {
   EXPECT_NE(result.error.find("regular"), std::string::npos) << result.error;
 }
 
+// ---- Parameters are declared once and checked on every surface -------------
+
+// `check` runs on the request both surfaces build: run 1 parses a protocol
+// line, run 2 hands the same fields to run_request_from_params.
+template <typename Check>
+void on_both_surfaces(const std::string& fields, const std::string& params,
+                      const ParamMap& bag, Check check) {
+  check([&] {
+    return parse_request("{\"op\":\"run\"" + fields + ",\"params\":{" +
+                         params + "}}")
+        .run;
+  });
+  check([&] { return run_request_from_params(bag); });
+}
+
+TEST(RunParams, UnknownParamGetsOneErrorNamingTheDeclaredKey) {
+  on_both_surfaces(
+      ",\"graph\":\"cycle\",\"process\":\"eprocess\"", "\"nn\":\"64\"",
+      ParamMap{{"graph", "cycle"}, {"process", "eprocess"}, {"nn", "64"}},
+      [](const auto& build) {
+        try {
+          build();
+          FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& ex) {
+          const std::string message = ex.what();
+          EXPECT_EQ(message.find("unknown parameter: nn (did you mean: n"), 0u)
+              << message;
+          EXPECT_EQ(message.find(';'), std::string::npos) << message;
+        }
+      });
+}
+
+TEST(RunParams, IntegerExponentFormsAreExact) {
+  on_both_surfaces(",\"graph\":\"cycle\",\"process\":\"srw\",\"max-steps\":1e9",
+                   "\"n\":\"16\"",
+                   ParamMap{{"graph", "cycle"}, {"process", "srw"},
+                            {"max-steps", "1e9"}, {"n", "16"}},
+                   [](const auto& build) {
+                     RunRequest req = build();
+                     EXPECT_EQ(req.max_steps, 1000000000u);
+                     req.trials = 1;
+                     const RunResult result = execute_run(req);
+                     ASSERT_TRUE(result.ok) << result.error;
+                     EXPECT_EQ(result.budget, 1000000000u);
+                   });
+}
+
+TEST(RunParams, FractionalTrialsRejected) {
+  on_both_surfaces(",\"trials\":2.5", "",
+                   ParamMap{{"trials", "2.5"}}, [](const auto& build) {
+                     EXPECT_THROW(build(), std::invalid_argument);
+                   });
+}
+
+TEST(RunParams, DaemonRejectsUnknownParamBeforeQueueing) {
+  Server server(ServerConfig{});
+  Collector out;
+  server.handle_line(
+      "{\"op\":\"run\",\"graph\":\"cycle\",\"process\":\"eprocess\","
+      "\"params\":{\"nn\":\"64\"}}",
+      out.sink());
+  server.drain();
+  const auto lines = out.snapshot();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(lines[0].find("did you mean: n"), std::string::npos) << lines[0];
+  EXPECT_EQ(server.store().stats().misses, 0u);
+}
+
+TEST(ExecuteRun, CoalescenceTargetNeedsATokenProcess) {
+  RunRequest req;
+  req.graph = "cycle";
+  req.process = "srw";
+  req.params = cycle_params(16);
+  req.target = RunTarget::kCoalescence;
+  GraphStore store;
+  const RunResult result = execute_run(req, &store);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error,
+            "--target coalescence needs an interacting-token process");
+  // Rejected from the declared kind, before any graph is built.
+  EXPECT_EQ(store.stats().misses, 0u);
+}
+
 // ---- execute_run honours bundle_width ----------------------------------------
 
 // Which instance made each step, in step order. Instances number themselves
-// at construction (execute_run's probe is instance 0 and never steps).
+// at construction; execute_run builds one per trial and no other.
 struct StepLog {
   std::mutex mutex;
   int next_id = 0;
@@ -370,10 +467,10 @@ class StepOrderWalk final : public WalkProcess {
 std::vector<int> step_order_of(std::uint32_t bundle) {
   static const bool registered = [] {
     ProcessRegistry::instance().add(
-        "test-step-order", "", "records its step order (test only)",
-        [](const Graph& g, const ParamMap&, Rng&) {
-          return std::make_unique<StepOrderWalk>(g);
-        });
+        {"test-step-order", "records its step order (test only)", {},
+         [](const Graph& g, const ParamMap&, Rng&) {
+           return std::make_unique<StepOrderWalk>(g);
+         }});
     return true;
   }();
   (void)registered;
@@ -394,16 +491,17 @@ std::vector<int> step_order_of(std::uint32_t bundle) {
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.unfinished, 4u);
   std::lock_guard<std::mutex> lock(step_log().mutex);
+  EXPECT_EQ(step_log().next_id, 4);  // no probe instance
   return step_log().order;
 }
 
 TEST(ExecuteRun, BundleWidthInterleavesTrials) {
   std::vector<int> one_at_a_time;
-  for (int id = 1; id <= 4; ++id)
+  for (int id = 0; id < 4; ++id)
     one_at_a_time.insert(one_at_a_time.end(), 20, id);
   std::vector<int> round_robin;
   for (int round = 0; round < 20; ++round)
-    for (int id = 1; id <= 4; ++id) round_robin.push_back(id);
+    for (int id = 0; id < 4; ++id) round_robin.push_back(id);
   EXPECT_EQ(step_order_of(1), one_at_a_time);
   EXPECT_EQ(step_order_of(4), round_robin);
 }
@@ -419,7 +517,8 @@ TEST(ExecuteRun, SamplesInvariantAcrossBundleWidthsAndThreads) {
     RunRequest req;
     req.graph = "regular";
     req.process = c.process;
-    req.params = ParamMap{{"n", "96"}, {"r", "4"}, {"tokens", "6"}};
+    req.params = ParamMap{{"n", "96"}, {"r", "4"}};
+    if (c.target == RunTarget::kCoalescence) req.params.set("tokens", "6");
     req.target = c.target;
     req.seed = 31;
     req.trials = 6;  // a short last bundle at width 4

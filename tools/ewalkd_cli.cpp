@@ -28,55 +28,61 @@
 
 namespace {
 
-void print_help() {
-  std::printf(
-      "ewalkd — serving daemon over a cached graph store\n\n"
-      "usage: ewalkd --stdin | --port P\n"
-      "              [--cache-bytes B] [--inflight N] [--threads T]\n\n"
-      "  --stdin          serve line-delimited JSON on stdin/stdout\n"
-      "  --port P         listen on 127.0.0.1:P (0 = ephemeral, printed)\n"
-      "  --cache-bytes B  graph cache byte budget (0 = unlimited, default)\n"
-      "  --inflight N     max queued+running run requests (default 64)\n"
-      "  --threads T      run-execution parallelism (0 = hardware, default)\n"
-      "  --help           this text\n\n"
-      "One JSON object per request line; see src/serve/protocol.hpp and\n"
-      "tools/ewalk_client.py. `ewalk --help` lists graph families and\n"
-      "processes — request fields mirror the ewalk flags one-for-one.\n");
+using namespace ewalk;
+
+// ewalkd's flags, with ServerConfig's defaults.
+const ParamSchema& daemon_flags() {
+  static const ParamSchema flags = [] {
+    const ServerConfig d;
+    return ParamSchema{
+        {"stdin", ParamType::kBool, "false", {},
+         "serve line-delimited JSON on stdin/stdout"},
+        {"port", ParamType::kU32, "", {},
+         "listen on 127.0.0.1:P (0 = ephemeral, printed)"},
+        {"cache-bytes", ParamType::kU64, std::to_string(d.cache_bytes), {},
+         "graph cache byte budget (0 = unlimited)"},
+        {"inflight", ParamType::kU32, std::to_string(d.max_inflight), {1.0},
+         "max queued+running run requests"},
+        {"threads", ParamType::kU32, std::to_string(d.threads), {},
+         "run-execution parallelism (0 = hardware)"},
+        {"help", ParamType::kBool, "false", {}, "this text"},
+    };
+  }();
+  return flags;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ewalk::Cli cli(argc, argv);
+  const Cli cli(argc, argv);
   if (cli.has("help")) {
-    print_help();
+    std::printf("ewalkd — serving daemon over a cached graph store\n\n"
+                "usage: ewalkd --stdin | --port P [options]\n\n");
+    print_params(daemon_flags(), "  ");
+    std::printf(
+        "\nOne JSON object per request line; see src/serve/protocol.hpp and\n"
+        "tools/ewalk_client.py. `ewalk --help` lists the run fields, graph\n"
+        "families and processes a request may name.\n");
     return 0;
   }
   try {
-    ewalk::ServerConfig config;
-    config.cache_bytes = cli.get_u64("cache-bytes", 0);
-    config.max_inflight =
-        static_cast<std::uint32_t>(cli.get_u64("inflight", 64));
-    if (config.max_inflight == 0)
-      throw std::invalid_argument("--inflight must be >= 1");
-    const std::int64_t threads = cli.get_int("threads", 0);
-    if (threads < 0)
-      throw std::invalid_argument(
-          "--threads must be >= 0 (0 = all hardware threads)");
-    config.threads = static_cast<std::uint32_t>(threads);
-
-    if (cli.has("stdin") == cli.has("port"))
+    cli.check({&daemon_flags()});
+    const ParamMap flags = cli.with_defaults(daemon_flags());
+    ServerConfig config;
+    config.cache_bytes = flags.get_u64("cache-bytes");
+    config.max_inflight = static_cast<std::uint32_t>(flags.get_u64("inflight"));
+    config.threads = static_cast<std::uint32_t>(flags.get_u64("threads"));
+    if (flags.get_bool("stdin") == flags.has("port"))
       throw std::invalid_argument(
           "pick exactly one transport: --stdin or --port P");
 
-    ewalk::Server server(config);
-    if (cli.has("stdin")) {
+    Server server(config);
+    if (flags.get_bool("stdin")) {
       server.serve_stream(std::cin, std::cout);
       return 0;
     }
-    const std::uint16_t port =
-        static_cast<std::uint16_t>(cli.get_u64("port", 0));
-    const std::uint16_t bound = server.listen_tcp(port);
+    const std::uint16_t bound =
+        server.listen_tcp(static_cast<std::uint16_t>(flags.get_u64("port")));
     std::printf("ewalkd: listening on 127.0.0.1:%u\n", bound);
     std::fflush(stdout);
     server.serve_tcp();
