@@ -168,37 +168,49 @@ void register_builtin_processes(ProcessRegistry& r) {
 }
 
 void register_builtin_generators(GeneratorRegistry& r) {
+  // GeneratorEntry::connected_by_construction, for the families whose code
+  // guarantees it: the random-regular generators retry until connected;
+  // the others contain a spanning path, cycle or BFS tree by construction.
+  constexpr bool kConnected = true;
   r.add({"regular", "random r-regular (Steger-Wormald), connected", {kN, kDegree},
          [](const ParamMap& p, Rng& rng) {
            return random_regular_connected(get_u32(p, "n"), get_u32(p, "r"), rng);
-         }});
+         },
+         kConnected});
   r.add({"regular-pairing",
          "random r-regular (pairing model + edge-swap repair), connected",
          {kN, kDegree},
          [](const ParamMap& p, Rng& rng) {
            return random_regular_pairing_connected(get_u32(p, "n"),
                                                    get_u32(p, "r"), rng);
-         }});
+         },
+         kConnected});
   r.add({"hamunion", "union of k random Hamiltonian cycles",
          {kN, {"k", ParamType::kU32, "2", {}, "Hamiltonian cycles"}},
          [](const ParamMap& p, Rng& rng) {
            return hamiltonian_cycle_union(get_u32(p, "n"), get_u32(p, "k"), rng);
-         }});
+         },
+         kConnected});
   r.add({"cycle", "cycle C_n", {kN},
-         [](const ParamMap& p, Rng&) { return cycle_graph(get_u32(p, "n")); }});
+         [](const ParamMap& p, Rng&) { return cycle_graph(get_u32(p, "n")); },
+         kConnected});
   r.add({"complete", "complete graph K_n", {kN},
-         [](const ParamMap& p, Rng&) { return complete_graph(get_u32(p, "n")); }});
+         [](const ParamMap& p, Rng&) { return complete_graph(get_u32(p, "n")); },
+         kConnected});
   r.add({"hypercube", "hypercube H_r on 2^r vertices",
          {{"r", ParamType::kU32, "10", {}, "dimension"}},
-         [](const ParamMap& p, Rng&) { return hypercube(get_u32(p, "r")); }});
+         [](const ParamMap& p, Rng&) { return hypercube(get_u32(p, "r")); },
+         kConnected});
   r.add({"torus", "2-D torus (cyclic grid)", {kWidth, kHeight},
          [](const ParamMap& p, Rng&) {
            return torus_2d(get_u32(p, "w"), get_u32(p, "h"));
-         }});
+         },
+         kConnected});
   r.add({"grid", "2-D open grid", {kWidth, kHeight},
          [](const ParamMap& p, Rng&) {
            return grid_2d(get_u32(p, "w"), get_u32(p, "h"));
-         }});
+         },
+         kConnected});
   r.add({"geometric", "random geometric graph in the unit square",
          {kN, {"radius", ParamType::kDouble, "0.03", {}, "connection radius"}},
          [](const ParamMap& p, Rng& rng) {
@@ -214,10 +226,12 @@ void register_builtin_generators(GeneratorRegistry& r) {
           {"q", ParamType::kU32, "13", {}, "prime q = 1 mod 4, q != p"}},
          [](const ParamMap& p, Rng&) {
            return lps_graph({get_u32(p, "p"), get_u32(p, "q")});
-         }});
+         },
+         kConnected});
   r.add({"margulis", "Margulis-type 8-regular expander on k x k",
          {{"k", ParamType::kU32, "100", {}, "side length"}},
-         [](const ParamMap& p, Rng&) { return margulis_expander(get_u32(p, "k")); }});
+         [](const ParamMap& p, Rng&) { return margulis_expander(get_u32(p, "k")); },
+         kConnected});
   r.add({"circulant", "circulant graph C_n(offsets)",
          {kN, {"offsets", ParamType::kString, "1,2", {}, "comma-separated offsets"}},
          [](const ParamMap& p, Rng&) {
@@ -229,7 +243,8 @@ void register_builtin_generators(GeneratorRegistry& r) {
           {"tail", ParamType::kU32, "50", {}, "path length"}},
          [](const ParamMap& p, Rng&) {
            return lollipop(get_u32(p, "clique"), get_u32(p, "tail"));
-         }});
+         },
+         kConnected});
   r.add({"pcf",
          "terminal PCF cluster graph: play edge-opening with freezing on a base family to exhaustion, freeze the open subgraph",
          {{"base", ParamType::kFamily, "regular", {},
@@ -247,7 +262,7 @@ void register_builtin_generators(GeneratorRegistry& r) {
            return dyn.freeze();
          }});
   r.add({"petersen", "the Petersen graph", {},
-         [](const ParamMap&, Rng&) { return petersen_graph(); }});
+         [](const ParamMap&, Rng&) { return petersen_graph(); }, kConnected});
   r.add({"file", "edge list written by write_edge_list",
          {{"path", ParamType::kString, "graph.txt", {}, "edge-list file"}},
          [](const ParamMap& p, Rng&) { return read_edge_list_file(p.get("path")); }});

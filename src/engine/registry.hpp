@@ -139,12 +139,16 @@ using GraphGeneratorFactory =
     std::function<Graph(const ParamMap& params, Rng& rng)>;
 
 /// One registered graph family: its name, help line, declared parameters,
-/// and factory.
+/// factory, and whether every graph it builds is connected.
 struct GeneratorEntry {
   std::string name;     ///< registry key ("regular")
   std::string summary;  ///< one-line description
   ParamSchema params;   ///< every parameter the factory reads
   GraphGeneratorFactory factory;  ///< builds the graph
+  /// True only when the factory's code guarantees a connected graph for
+  /// every accepted parameter set (a spanning structure, or a generator
+  /// that retries until connected); consumers then skip the BFS check.
+  bool connected_by_construction = false;
 };
 
 /// Graph families by name ("regular", "cycle", "lps", ...): the CLI's

@@ -83,8 +83,8 @@ void DynamicGraph::erase_edge(EdgeId e) {
   journal_.push_back(GraphMutation{MutationKind::kErase, e, ep});
 }
 
-std::vector<Endpoints> DynamicGraph::surviving_edges() const {
-  std::vector<Endpoints> out;
+EdgeList DynamicGraph::surviving_edges() const {
+  EdgeList out;
   out.reserve(alive_edges_);
   for (EdgeId e = 0; e < edges_.size(); ++e)
     if (edges_[e].alive) out.push_back(edges_[e].endpoints);

@@ -115,7 +115,7 @@ class DynamicGraph {
 
   /// The surviving edges in ascending id order — exactly the edge list
   /// freeze() snapshots.
-  std::vector<Endpoints> surviving_edges() const;
+  EdgeList surviving_edges() const;
 
   /// Snapshots the surviving edge list into an immutable CSR `Graph`
   /// (ids compacted to 0..num_edges()-1 in ascending surviving-id order —

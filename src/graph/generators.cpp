@@ -213,17 +213,16 @@ namespace {
 // on success uf->components() == 1 is *exactly* the connectivity of the
 // finished graph — the connected variant reads the retry decision off the
 // union-find the moment the last edge lands, no BFS, no CSR build.
-std::optional<std::vector<Endpoints>> steger_wormald_attempt(Vertex n, std::uint32_t r,
-                                                             Rng& rng,
-                                                             UnionFind* uf = nullptr) {
+std::optional<EdgeList> steger_wormald_attempt(Vertex n, std::uint32_t r, Rng& rng,
+                                               UnionFind* uf = nullptr) {
   g_sw_attempts.fetch_add(1, std::memory_order_relaxed);
   if (uf != nullptr) uf->reset(n);
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(static_cast<std::size_t>(n) * r / 2);
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(edges.capacity() * 2);
 
-  std::vector<Vertex> stubs;
+  LargeVector<Vertex> stubs;
   stubs.reserve(static_cast<std::size_t>(n) * r);
   for (Vertex v = 0; v < n; ++v)
     for (std::uint32_t i = 0; i < r; ++i) stubs.push_back(v);
@@ -270,7 +269,7 @@ Graph random_regular(Vertex n, std::uint32_t r, Rng& rng) {
   if (r >= n) throw std::invalid_argument("random_regular: need r < n");
   if ((static_cast<std::uint64_t>(n) * r) % 2 != 0)
     throw std::invalid_argument("random_regular: n*r must be even");
-  if (r == 0) return Graph::from_edges(n, std::vector<Endpoints>{});
+  if (r == 0) return Graph::from_edges(n, EdgeList{});
   for (;;) {
     auto edges = steger_wormald_attempt(n, r, rng);
     if (edges) return Graph::from_edges(n, std::move(*edges));
@@ -284,7 +283,7 @@ Graph random_regular_connected(Vertex n, std::uint32_t r, Rng& rng) {
   if (r == 0) {
     if (n > 1)
       throw std::invalid_argument("random_regular_connected: r = 0, n > 1 cannot be connected");
-    return Graph::from_edges(n, std::vector<Endpoints>{});
+    return Graph::from_edges(n, EdgeList{});
   }
   UnionFind uf(n);
   for (;;) {
@@ -339,8 +338,8 @@ class EdgeCountTable {
   ~EdgeCountTable() {
     constexpr std::size_t kRetainCap = std::size_t{1} << 22;
     if (mask_ + 1 > kRetainCap) {
-      std::vector<std::uint64_t>().swap(keys_);
-      std::vector<std::uint32_t>().swap(counts_);
+      LargeVector<std::uint64_t>().swap(keys_);
+      LargeVector<std::uint32_t>().swap(counts_);
     }
   }
 
@@ -374,36 +373,35 @@ class EdgeCountTable {
     return i;
   }
 
-  static std::vector<std::uint64_t>& thread_keys() {
-    static thread_local std::vector<std::uint64_t> keys;
+  static LargeVector<std::uint64_t>& thread_keys() {
+    static thread_local LargeVector<std::uint64_t> keys;
     return keys;
   }
-  static std::vector<std::uint32_t>& thread_counts() {
-    static thread_local std::vector<std::uint32_t> counts;
+  static LargeVector<std::uint32_t>& thread_counts() {
+    static thread_local LargeVector<std::uint32_t> counts;
     return counts;
   }
 
   std::size_t mask_ = 0;
-  std::vector<std::uint64_t>& keys_;
-  std::vector<std::uint32_t>& counts_;
+  LargeVector<std::uint64_t>& keys_;
+  LargeVector<std::uint32_t>& counts_;
 };
 
 // One pairing pass followed by in-place 2-swap repair of the defective
 // (loop/duplicate) edges. Returns nullopt when the repair stalls — a
 // proposal budget guards against dense corner cases (r close to n) where no
 // valid replacement edge may exist — in which case the caller re-pairs.
-std::optional<std::vector<Endpoints>> pairing_repair_attempt(Vertex n,
-                                                             std::uint32_t r,
-                                                             Rng& rng) {
+std::optional<EdgeList> pairing_repair_attempt(Vertex n, std::uint32_t r,
+                                               Rng& rng) {
   g_pairing_attempts.fetch_add(1, std::memory_order_relaxed);
   const std::size_t m = static_cast<std::size_t>(n) * r / 2;
-  std::vector<Endpoints> edges(m);
+  EdgeList edges(m);
   {
     // Stub phase in its own scope: the 2m-stub array is dead weight once
     // the edge list exists, and freeing it before the count table is built
     // keeps the two biggest generation-scratch blocks from coexisting
     // (peak-RSS envelope, see docs/REPRODUCING.md).
-    std::vector<Vertex> stubs;
+    LargeVector<Vertex> stubs;
     stubs.reserve(2 * m);
     for (Vertex v = 0; v < n; ++v)
       for (std::uint32_t i = 0; i < r; ++i) stubs.push_back(v);
@@ -466,7 +464,7 @@ Graph random_regular_pairing(Vertex n, std::uint32_t r, Rng& rng) {
   if (r >= n) throw std::invalid_argument("random_regular_pairing: need r < n");
   if ((static_cast<std::uint64_t>(n) * r) % 2 != 0)
     throw std::invalid_argument("random_regular_pairing: n*r must be even");
-  if (r == 0) return Graph::from_edges(n, std::vector<Endpoints>{});
+  if (r == 0) return Graph::from_edges(n, EdgeList{});
   for (;;) {
     auto edges = pairing_repair_attempt(n, r, rng);
     if (edges) return Graph::from_edges(n, std::move(*edges));
@@ -481,7 +479,7 @@ Graph random_regular_pairing_connected(Vertex n, std::uint32_t r, Rng& rng) {
     if (n > 1)
       throw std::invalid_argument(
           "random_regular_pairing_connected: r = 0, n > 1 cannot be connected");
-    return Graph::from_edges(n, std::vector<Endpoints>{});
+    return Graph::from_edges(n, EdgeList{});
   }
   for (;;) {
     auto edges = pairing_repair_attempt(n, r, rng);
@@ -506,7 +504,7 @@ Graph configuration_model(const std::vector<std::uint32_t>& degrees, Rng& rng,
     throw std::invalid_argument("configuration_model: degree sum must be even");
 
   const Vertex n = static_cast<Vertex>(degrees.size());
-  std::vector<Vertex> stubs;
+  LargeVector<Vertex> stubs;
   stubs.reserve(total);
 
   for (;;) {
@@ -515,7 +513,7 @@ Graph configuration_model(const std::vector<std::uint32_t>& degrees, Rng& rng,
       for (std::uint32_t i = 0; i < degrees[v]; ++i) stubs.push_back(v);
     rng.shuffle(std::span<Vertex>(stubs));
 
-    std::vector<Endpoints> edges;
+    EdgeList edges;
     edges.reserve(total / 2);
     bool ok = true;
     std::unordered_set<std::uint64_t> seen;
@@ -540,7 +538,7 @@ Graph hamiltonian_cycle_union(Vertex n, std::uint32_t k, Rng& rng, bool simple) 
   if (k == 0) throw std::invalid_argument("hamiltonian_cycle_union: k must be >= 1");
   std::vector<Vertex> perm(n);
   for (;;) {
-    std::vector<Endpoints> edges;
+    EdgeList edges;
     edges.reserve(static_cast<std::size_t>(n) * k);
     std::unordered_set<std::uint64_t> seen;
     if (simple) seen.reserve(edges.capacity() * 2);

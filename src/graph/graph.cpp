@@ -9,10 +9,10 @@
 namespace ewalk {
 
 Graph Graph::from_edges(Vertex n, std::span<const Endpoints> edges) {
-  return from_edges(n, std::vector<Endpoints>(edges.begin(), edges.end()));
+  return from_edges(n, EdgeList(edges.begin(), edges.end()));
 }
 
-Graph Graph::from_edges(Vertex n, std::vector<Endpoints>&& edges) {
+Graph Graph::from_edges(Vertex n, EdgeList&& edges) {
   // Slot indices (offsets_, slot_index) are 32-bit: 2m must fit. Edge ids are
   // 32-bit too, which the same bound covers with room to spare.
   if (edges.size() > std::numeric_limits<std::uint32_t>::max() / 2)
@@ -70,7 +70,7 @@ Graph Graph::from_edges(Vertex n, std::vector<Endpoints>&& edges) {
   // likewise contribute k-1. Scratch is 4 bytes per VERTEX (transient)
   // instead of 8 bytes per EDGE plus an O(m log m) sort.
   if (!g.edges_.empty()) {
-    std::vector<Vertex> stamp(n, 0);
+    LargeVector<Vertex> stamp(n, 0);
     for (Vertex u = 0; u < n; ++u) {
       for (std::uint32_t i = g.offsets_[u]; i < g.offsets_[u + 1]; ++i) {
         const Vertex v = g.slots_[i].neighbor;

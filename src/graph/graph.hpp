@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/huge_pages.hpp"
+
 namespace ewalk {
 
 using Vertex = std::uint32_t;
@@ -36,13 +38,17 @@ struct Endpoints {
   Vertex v;
 };
 
+/// An edge list in huge-page-backed storage: what generators build and
+/// Graph::from_edges adopts without a copy.
+using EdgeList = LargeVector<Endpoints>;
+
 class Graph {
  public:
   Graph() = default;
 
   /// Builds a graph on n vertices from an undirected edge list. Endpoints
   /// must be < n. Parallel edges and self-loops are kept. Copies the edge
-  /// list; prefer the rvalue overload when the caller's list is disposable.
+  /// list; prefer the EdgeList overload when the caller's list is disposable.
   static Graph from_edges(Vertex n, std::span<const Endpoints> edges);
 
   /// Memory-lean build path: adopts `edges` as the graph's edge array (no
@@ -53,7 +59,7 @@ class Graph {
   /// key vector, no O(m log m) sort). Throws std::invalid_argument on an
   /// out-of-range endpoint or when 2*edges.size() overflows the 32-bit slot
   /// index space (the CSR stays valid up to ~4e9 slot endpoints).
-  static Graph from_edges(Vertex n, std::vector<Endpoints>&& edges);
+  static Graph from_edges(Vertex n, EdgeList&& edges);
 
   Vertex num_vertices() const noexcept { return n_; }
   EdgeId num_edges() const noexcept { return static_cast<EdgeId>(edges_.size()); }
@@ -129,9 +135,9 @@ class Graph {
 
  private:
   Vertex n_ = 0;
-  std::vector<std::uint32_t> offsets_;  // size n_+1
-  std::vector<Slot> slots_;             // size 2m
-  std::vector<Endpoints> edges_;        // size m
+  LargeVector<std::uint32_t> offsets_;  // size n_+1
+  LargeVector<Slot> slots_;             // size 2m
+  EdgeList edges_;                      // size m
   std::uint32_t min_degree_ = 0;
   std::uint32_t max_degree_ = 0;
   std::uint64_t self_loops_ = 0;
@@ -160,7 +166,7 @@ class GraphBuilder {
 
  private:
   Vertex n_;
-  std::vector<Endpoints> edges_;
+  EdgeList edges_;
 };
 
 }  // namespace ewalk

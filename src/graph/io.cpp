@@ -27,7 +27,7 @@ Graph read_edge_list(std::istream& in) {
   Vertex n = 0;
   EdgeId m = 0;
   if (!(in >> n >> m)) throw std::runtime_error("read_edge_list: bad header");
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(m);
   for (EdgeId e = 0; e < m; ++e) {
     Vertex u = 0, v = 0;

@@ -183,7 +183,7 @@ Graph lps_graph(const LpsParams& params) {
 
   index.emplace(pack(identity), 0);
   elems.push_back(identity);
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(lps_expected_order(params) * (p + 1) / 2);
 
   std::queue<Vertex> frontier;

@@ -24,7 +24,7 @@ ContractionResult contract_set(const Graph& g, std::span<const Vertex> set) {
   for (Vertex v = 0; v < g.num_vertices(); ++v)
     out.vertex_map[v] = in_set[v] ? 0 : next++;
 
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [u, v] = g.endpoints(e);
@@ -43,7 +43,7 @@ SubdivisionResult subdivide_edges(const Graph& g, std::span<const EdgeId> chosen
   }
 
   SubdivisionResult out;
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(g.num_edges() + chosen.size());
   Vertex next = g.num_vertices();
   // Untouched edges first (preserving relative order), then the two halves
@@ -64,7 +64,7 @@ SubdivisionResult subdivide_edges(const Graph& g, std::span<const EdgeId> chosen
 }
 
 Graph add_laziness_loops(const Graph& g) {
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(g.num_edges() * 2);
   for (EdgeId e = 0; e < g.num_edges(); ++e) edges.push_back(g.endpoints(e));
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -77,7 +77,7 @@ Graph add_laziness_loops(const Graph& g) {
 }
 
 Graph double_edges(const Graph& g) {
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(2 * g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     edges.push_back(g.endpoints(e));
@@ -87,7 +87,7 @@ Graph double_edges(const Graph& g) {
 }
 
 Graph evenize_by_matching(const Graph& g) {
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   edges.reserve(g.num_edges() + g.num_vertices());
   for (EdgeId e = 0; e < g.num_edges(); ++e) edges.push_back(g.endpoints(e));
 

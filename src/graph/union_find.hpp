@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <numeric>
-#include <vector>
 
 #include "graph/graph.hpp"
+#include "util/huge_pages.hpp"
 
 namespace ewalk {
 
@@ -62,8 +62,8 @@ class UnionFind {
   Vertex components() const noexcept { return components_; }
 
  private:
-  std::vector<Vertex> parent_;
-  std::vector<Vertex> size_;
+  LargeVector<Vertex> parent_;
+  LargeVector<Vertex> size_;
   Vertex components_ = 0;
 };
 

@@ -39,6 +39,16 @@ const GraphAnalysis& CachedGraph::analysis(bool* hit) const {
   return *analysis_;
 }
 
+std::shared_ptr<const CachedGraph> build_cached_graph(const std::string& generator,
+                                                      const ParamMap& params,
+                                                      std::uint64_t seed) {
+  const GeneratorEntry& family = GeneratorRegistry::instance().at(generator);
+  Rng graph_rng(seed);
+  Graph g = GeneratorRegistry::instance().create(generator, params, graph_rng);
+  const bool connected = family.connected_by_construction || is_connected(g);
+  return std::make_shared<CachedGraph>(std::move(g), connected);
+}
+
 std::string GraphStore::cache_key(const std::string& generator,
                                   const ParamMap& params, std::uint64_t seed) {
   // ParamMap iterates its std::map in key order — already canonical.
@@ -104,12 +114,7 @@ std::shared_ptr<const CachedGraph> GraphStore::acquire(
 
   std::shared_ptr<const CachedGraph> cached;
   try {
-    // The construction the CLI performs, bit for bit: a fresh Rng seeded
-    // with the request seed, handed to the registry factory.
-    Rng graph_rng(seed);
-    Graph g = GeneratorRegistry::instance().create(generator, params, graph_rng);
-    const bool connected = is_connected(g);
-    cached = std::make_shared<CachedGraph>(std::move(g), connected);
+    cached = build_cached_graph(generator, params, seed);
   } catch (const std::exception& ex) {
     lock.lock();
     build->failed = true;

@@ -58,8 +58,9 @@ struct GraphAnalysis {
 /// connectivity (computed once at build), and the lazily computed analysis.
 class CachedGraph {
  public:
-  /// Wraps a constructed graph. `connected` is computed by the store at
-  /// build time so per-request connectivity checks cost nothing.
+  /// Wraps a constructed graph. `connected` is decided once, at build time
+  /// (see build_cached_graph), so per-request connectivity checks cost
+  /// nothing.
   CachedGraph(Graph graph, bool connected)
       : graph_(std::move(graph)), connected_(connected) {}
 
@@ -84,6 +85,14 @@ class CachedGraph {
   mutable std::mutex analysis_mutex_;
   mutable std::optional<GraphAnalysis> analysis_;
 };
+
+/// Builds family `generator` from `params` with a fresh Rng(seed) — the
+/// construction the CLI performs, bit for bit — and wraps it. A family
+/// declared connected by construction (GeneratorEntry) is marked connected
+/// without a BFS; any other family is checked once with is_connected.
+std::shared_ptr<const CachedGraph> build_cached_graph(const std::string& generator,
+                                                      const ParamMap& params,
+                                                      std::uint64_t seed);
 
 /// Monotone counters describing a GraphStore's behaviour; snapshot via
 /// GraphStore::stats(). Single-flight waiters count as hits (they were

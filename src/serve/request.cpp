@@ -6,7 +6,6 @@
 #include "covertime/experiment.hpp"
 #include "engine/budget.hpp"
 #include "engine/registry.hpp"
-#include "graph/algorithms.hpp"
 #include "util/timer.hpp"
 
 namespace ewalk {
@@ -125,17 +124,10 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     const TrialTarget target(out.target, req.target_tokens);
     target.check(process.kind);
 
-    std::shared_ptr<const CachedGraph> cached;
-    if (store != nullptr) {
-      cached = store->acquire(req.graph, req.params, req.seed,
-                              &out.graph_cache_hit);
-    } else {
-      Rng graph_rng(req.seed);
-      Graph g =
-          GeneratorRegistry::instance().create(req.graph, req.params, graph_rng);
-      const bool connected = is_connected(g);
-      cached = std::make_shared<CachedGraph>(std::move(g), connected);
-    }
+    const std::shared_ptr<const CachedGraph> cached =
+        store != nullptr
+            ? store->acquire(req.graph, req.params, req.seed, &out.graph_cache_hit)
+            : build_cached_graph(req.graph, req.params, req.seed);
     out.graph = cached;
     const Graph& g = cached->graph();
 

@@ -30,9 +30,9 @@
 #include <cassert>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "graph/graph.hpp"
+#include "util/huge_pages.hpp"
 
 namespace ewalk {
 
@@ -121,10 +121,10 @@ class BluePartition {
     blue_count_[owner] = last;
   }
 
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> pos_of_slot_;
-  std::vector<std::uint32_t> edge_slot_;
-  std::vector<std::uint32_t> blue_count_;
+  LargeVector<std::uint32_t> order_;
+  LargeVector<std::uint32_t> pos_of_slot_;
+  LargeVector<std::uint32_t> edge_slot_;
+  LargeVector<std::uint32_t> blue_count_;
 };
 
 }  // namespace ewalk

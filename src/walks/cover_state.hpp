@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "graph/graph.hpp"
+#include "util/huge_pages.hpp"
 
 namespace ewalk {
 
@@ -65,10 +65,10 @@ class CoverState {
  private:
   Vertex n_;
   EdgeId m_;
-  std::vector<std::uint8_t> vertex_visited_;
-  std::vector<std::uint8_t> edge_visited_;
-  std::vector<std::uint32_t> visit_count_;
-  std::vector<std::uint64_t> first_vertex_visit_;
+  LargeVector<std::uint8_t> vertex_visited_;
+  LargeVector<std::uint8_t> edge_visited_;
+  LargeVector<std::uint32_t> visit_count_;
+  LargeVector<std::uint64_t> first_vertex_visit_;
   Vertex vertices_covered_ = 0;
   EdgeId edges_covered_ = 0;
   std::uint64_t vertex_cover_step_ = kNotCovered;

@@ -4,13 +4,17 @@
 // uniform-rule fast path.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/adapters.hpp"
 #include "engine/budget.hpp"
 #include "engine/driver.hpp"
 #include "engine/params.hpp"
 #include "engine/registry.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "walks/eprocess.hpp"
 #include "walks/rules.hpp"
@@ -282,6 +286,57 @@ TEST(GeneratorRegistry, BuildsFamiliesByName) {
 
   EXPECT_THROW(GeneratorRegistry::instance().create("no-such-family", ParamMap{}, rng),
                std::invalid_argument);
+}
+
+TEST(GeneratorRegistry, ConnectedByConstructionFamiliesAreConnected) {
+  // Every family that declares connected_by_construction (which lets the
+  // serving layer skip its BFS) is listed here with a few sizes, including
+  // the smallest it accepts; sparse random-regular cases (r = 2) exercise
+  // the generators' connectivity retries.
+  struct Case {
+    std::string family;
+    ParamMap params;
+  };
+  const std::vector<Case> cases = {
+      {"regular", {{"n", "1"}, {"r", "0"}}},
+      {"regular", {{"n", "60"}, {"r", "2"}}},
+      {"regular", {{"n", "500"}, {"r", "3"}}},
+      {"regular-pairing", {{"n", "1"}, {"r", "0"}}},
+      {"regular-pairing", {{"n", "60"}, {"r", "2"}}},
+      {"regular-pairing", {{"n", "2000"}, {"r", "4"}}},
+      {"hamunion", {{"n", "3"}, {"k", "1"}}},
+      {"hamunion", {{"n", "200"}, {"k", "2"}}},
+      {"cycle", {{"n", "3"}}},
+      {"cycle", {{"n", "257"}}},
+      {"complete", {{"n", "1"}}},
+      {"complete", {{"n", "40"}}},
+      {"hypercube", {{"r", "0"}}},
+      {"hypercube", {{"r", "7"}}},
+      {"torus", {{"w", "3"}, {"h", "3"}}},
+      {"torus", {{"w", "9"}, {"h", "4"}}},
+      {"grid", {{"w", "1"}, {"h", "1"}}},
+      {"grid", {{"w", "1"}, {"h", "7"}}},
+      {"grid", {{"w", "12"}, {"h", "5"}}},
+      {"lps", {{"p", "5"}, {"q", "13"}}},
+      {"lps", {{"p", "5"}, {"q", "17"}}},
+      {"margulis", {{"k", "2"}}},
+      {"margulis", {{"k", "31"}}},
+      {"lollipop", {{"clique", "2"}, {"tail", "0"}}},
+      {"lollipop", {{"clique", "6"}, {"tail", "20"}}},
+      {"petersen", {}},
+  };
+  std::set<std::string> declared, listed;
+  for (const GeneratorEntry& e : GeneratorRegistry::instance().entries())
+    if (e.connected_by_construction) declared.insert(e.name);
+  for (const Case& c : cases) listed.insert(c.family);
+  EXPECT_EQ(declared, listed);
+
+  for (const Case& c : cases)
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      const Graph g = GeneratorRegistry::instance().create(c.family, c.params, rng);
+      EXPECT_TRUE(is_connected(g)) << c.family << " seed " << seed;
+    }
 }
 
 TEST(EngineBudget, DefaultBudgetIsGenerousAndMonotoneInSize)

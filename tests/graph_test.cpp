@@ -1,9 +1,14 @@
 // Tests for the graph core: construction, multigraph semantics, CSR
-// integrity, basic algorithms, and serialisation.
+// integrity, huge-page-backed storage, basic algorithms, and serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <fstream>
+#include <numeric>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,9 +16,32 @@
 #include "graph/graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "util/huge_pages.hpp"
 
 namespace ewalk {
 namespace {
+
+// Same vertex count, edge list (ids and endpoints), slot rows and flags.
+void expect_same_graph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    EXPECT_EQ(a.endpoints(e).u, b.endpoints(e).u);
+    EXPECT_EQ(a.endpoints(e).v, b.endpoints(e).v);
+  }
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    ASSERT_EQ(a.degree(v), b.degree(v));
+    for (std::uint32_t k = 0; k < a.degree(v); ++k) {
+      EXPECT_EQ(a.slot(v, k).neighbor, b.slot(v, k).neighbor);
+      EXPECT_EQ(a.slot(v, k).edge, b.slot(v, k).edge);
+    }
+  }
+  EXPECT_EQ(a.min_degree(), b.min_degree());
+  EXPECT_EQ(a.max_degree(), b.max_degree());
+  EXPECT_EQ(a.all_degrees_even(), b.all_degrees_even());
+  EXPECT_EQ(a.has_self_loops(), b.has_self_loops());
+  EXPECT_EQ(a.has_parallel_edges(), b.has_parallel_edges());
+}
 
 Graph triangle() {
   GraphBuilder b(3);
@@ -117,27 +145,23 @@ TEST(Graph, MoveBuildMatchesCopyBuildExactly) {
   // walks replay the same trajectories whichever path built the graph.
   Rng rng(7);
   const Graph ref = random_regular_pairing(200, 5, rng);
-  std::vector<Endpoints> edges;
+  EdgeList edges;
   for (EdgeId e = 0; e < ref.num_edges(); ++e) edges.push_back(ref.endpoints(e));
 
   const Graph copied =
       Graph::from_edges(200, std::span<const Endpoints>(edges));
   const Graph moved = Graph::from_edges(200, std::move(edges));
-  ASSERT_EQ(copied.num_edges(), moved.num_edges());
-  for (EdgeId e = 0; e < copied.num_edges(); ++e) {
-    const auto [cu, cv] = copied.endpoints(e);
-    const auto [mu, mv] = moved.endpoints(e);
-    EXPECT_EQ(cu, mu);
-    EXPECT_EQ(cv, mv);
-  }
-  for (Vertex v = 0; v < copied.num_vertices(); ++v) {
-    ASSERT_EQ(copied.degree(v), moved.degree(v));
-    for (std::uint32_t k = 0; k < copied.degree(v); ++k) {
-      EXPECT_EQ(copied.slot(v, k).neighbor, moved.slot(v, k).neighbor);
-      EXPECT_EQ(copied.slot(v, k).edge, moved.slot(v, k).edge);
-    }
-  }
-  EXPECT_EQ(copied.is_simple(), moved.is_simple());
+  expect_same_graph(copied, moved);
+}
+
+TEST(Graph, CopyEqualsSource) {
+  // 200000 vertices, r = 4: the slot and edge arrays are over 2 MiB, so the
+  // copy allocates advised blocks of its own.
+  Rng rng(11);
+  const Graph source = random_regular_pairing(200000, 4, rng);
+  const Graph copy = source;  // NOLINT(performance-unnecessary-copy-initialization)
+  expect_same_graph(source, copy);
+  EXPECT_NE(copy.slots(0).data(), source.slots(0).data());
 }
 
 TEST(Graph, MoveBuildCensusHandlesLoopsAndParallels) {
@@ -159,6 +183,99 @@ TEST(Graph, MoveBuildCensusHandlesLoopsAndParallels) {
   const Graph simple = Graph::from_edges(
       3, std::vector<Endpoints>{{0, 1}, {1, 2}, {2, 0}});
   EXPECT_TRUE(simple.is_simple());
+}
+
+// ---- Huge-page-backed storage (util/huge_pages.hpp) ----------------------
+
+// The VmFlags line of the /proc/self/smaps mapping containing `addr`, or ""
+// when the file is unreadable or no mapping contains it.
+std::string vm_flags_of(const void* addr) {
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    // Mapping headers read "lo-hi perms ..."; field lines ("Rss:",
+    // "AnonHugePages:") never parse as a hex pair joined by '-'.
+    std::istringstream head(line);
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= a && a < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return "";
+}
+
+bool has_flag(const std::string& vm_flags, const std::string& flag) {
+  std::istringstream tokens(vm_flags);
+  std::string token;
+  while (tokens >> token)
+    if (token == flag) return true;
+  return false;
+}
+
+TEST(LargeVector, BlockOfTwoMiBOrMoreIsAdvisedHugePage) {
+  std::ifstream mode_file("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  if (!std::getline(mode_file, mode) || mode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages unavailable (mode: '" << mode << "')";
+
+  LargeVector<std::uint8_t> big(4 * kHugePageBytes, 1);
+  const auto begin = reinterpret_cast<std::uintptr_t>(big.data());
+  const std::uintptr_t aligned = (begin + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+  const std::string flags = vm_flags_of(reinterpret_cast<const void*>(aligned));
+  ASSERT_FALSE(flags.empty()) << "no smaps mapping holds the block";
+  EXPECT_TRUE(has_flag(flags, "hg")) << flags;
+}
+
+TEST(LargeVector, OnlyBlocksOfTwoMiBOrMoreAreAdvised) {
+  const std::uint64_t before = huge_page_advice_counter().load();
+  {
+    LargeVector<std::uint8_t> small(kHugePageBytes - 1, 0);
+    LargeVector<std::uint32_t> tiny(16, 0);
+  }
+  EXPECT_EQ(huge_page_advice_counter().load(), before);
+  { LargeVector<std::uint8_t> big(4 * kHugePageBytes, 0); }
+  EXPECT_EQ(huge_page_advice_counter().load(), before + 1);
+}
+
+TEST(LargeVector, BehavesLikeStdVector) {
+  // 40 bytes (never advised) and 4 MiB (advised).
+  for (const std::size_t n : {std::size_t{10}, std::size_t{1} << 20}) {
+    std::vector<std::uint32_t> ref(n);
+    std::iota(ref.begin(), ref.end(), 7u);
+    const auto same = [&ref](const LargeVector<std::uint32_t>& v) {
+      return std::equal(v.begin(), v.end(), ref.begin(), ref.end());
+    };
+    LargeVector<std::uint32_t> v(ref.begin(), ref.end());
+    EXPECT_TRUE(same(v));
+
+    const LargeVector<std::uint32_t> copy = v;
+    EXPECT_TRUE(same(copy));
+    EXPECT_NE(copy.data(), v.data());
+
+    const std::uint32_t* storage = v.data();
+    LargeVector<std::uint32_t> moved = std::move(v);
+    EXPECT_EQ(moved.data(), storage);
+    EXPECT_TRUE(same(moved));
+
+    LargeVector<std::uint32_t> other(3, 9);
+    moved.swap(other);
+    EXPECT_EQ(other.data(), storage);
+    EXPECT_EQ(moved, (LargeVector<std::uint32_t>(3, 9)));
+
+    other.resize(2 * n, 5);
+    ref.resize(2 * n, 5);
+    EXPECT_TRUE(same(other));
+    other.resize(n / 2);
+    ref.resize(n / 2);
+    other.shrink_to_fit();
+    EXPECT_EQ(other.capacity(), other.size());
+    EXPECT_TRUE(same(other));
+  }
 }
 
 TEST(GraphBuilder, BuildTwiceFromLvalueThenMoveFromRvalue) {

@@ -136,6 +136,52 @@ std::uint64_t srw_trajectory(std::uint64_t steps) {
   return h.h;
 }
 
+// Above the huge-page threshold: regular-pairing n = 300000, r = 4 has
+// 1.2M slots and 600000 edges, so every per-slot and per-edge array — the
+// CSR's slots and edges, BluePartition's three slot tables — is over 2 MiB
+// and lives on MADV_HUGEPAGE-advised storage (util/huge_pages.hpp). The
+// messy-multigraph scenarios above are all far below it.
+const Graph& large_regular() {
+  static const Graph g = [] {
+    Rng rng(300000);
+    return GeneratorRegistry::instance().create(
+        "regular-pairing", ParamMap{{"n", "300000"}, {"r", "4"}}, rng);
+  }();
+  return g;
+}
+
+// The E-process (uniform rule) on large_regular() from vertex 0 to vertex
+// cover, hashing every position.
+std::uint64_t large_eprocess_cover() {
+  const Graph& g = large_regular();
+  Rng rng(16);
+  auto rule = make_rule("uniform", g, rng);
+  EProcess walk(g, 0, *rule);
+  Hasher h;
+  while (!walk.cover().all_vertices_covered()) {
+    walk.step(rng);
+    h.mix(walk.current());
+  }
+  h.mix(walk.steps());
+  h.mix(walk.blue_steps());
+  h.mix(walk.cover().edges_covered());
+  return h.h;
+}
+
+// The SRW on large_regular() for 4M steps, hashing every position.
+std::uint64_t large_srw_trajectory() {
+  const Graph& g = large_regular();
+  Rng rng(17);
+  SimpleRandomWalk walk(g, 0);
+  Hasher h;
+  for (std::uint64_t i = 0; i < 4'000'000; ++i) {
+    walk.step(rng);
+    h.mix(walk.current());
+  }
+  h.mix(walk.cover().vertices_covered());
+  return h.h;
+}
+
 std::uint64_t herman_run() {
   const Graph g = cycle_graph(101);
   Rng rng(31337);
@@ -219,6 +265,10 @@ constexpr std::uint64_t kGoldenHerman = 0x155F93A836DE2D9CULL;
 constexpr std::uint64_t kGoldenRegistryChunkedCover = 0xCF56F55BD7929475ULL;
 constexpr std::uint64_t kGoldenMeasureCover = 0xCD18DE61349D1940ULL;
 constexpr std::uint64_t kGoldenMeasureCoalescence = 0x585855EE7023B846ULL;
+// Recorded before the graph and walk-state arrays moved to huge-page-backed
+// storage: the allocator must change no sample.
+constexpr std::uint64_t kGoldenLargeEProcessCover = 0xC70D62065207C99FULL;
+constexpr std::uint64_t kGoldenLargeSrw = 0x7049C85430AF0013ULL;
 
 constexpr std::uint64_t kTrajectorySteps = 6000;
 
@@ -251,6 +301,10 @@ int main() {
               (unsigned long long)measure_cover_samples(4));
   std::printf("kGoldenMeasureCoalescence  0x%016llXULL\n",
               (unsigned long long)measure_coalescence_samples(4));
+  std::printf("kGoldenLargeEProcessCover  0x%016llXULL\n",
+              (unsigned long long)large_eprocess_cover());
+  std::printf("kGoldenLargeSrw            0x%016llXULL\n",
+              (unsigned long long)large_srw_trajectory());
   return 0;
 }
 
@@ -303,6 +357,14 @@ TEST(StreamIdentity, MeasureCoverSamplesMatchGoldenOnThreadPool) {
 
 TEST(StreamIdentity, MeasureCoalescenceSamplesMatchGoldenOnThreadPool) {
   EXPECT_EQ(measure_coalescence_samples(4), kGoldenMeasureCoalescence);
+}
+
+TEST(StreamIdentity, EProcessCoverAboveHugePageThresholdMatchesGolden) {
+  EXPECT_EQ(large_eprocess_cover(), kGoldenLargeEProcessCover);
+}
+
+TEST(StreamIdentity, SrwAboveHugePageThresholdMatchesGolden) {
+  EXPECT_EQ(large_srw_trajectory(), kGoldenLargeSrw);
 }
 
 // ---- Thread-count invariance on the persistent pool ----------------------

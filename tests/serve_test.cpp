@@ -21,6 +21,7 @@
 
 #include "engine/process.hpp"
 #include "engine/registry.hpp"
+#include "graph/algorithms.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
@@ -285,6 +286,25 @@ TEST(GraphStoreTest, BuildFailurePropagatesAndLeavesStoreClean) {
   EXPECT_EQ(store.stats().entries, 0u);
   // The store still serves other keys afterwards.
   EXPECT_NO_THROW(store.acquire("cycle", cycle_params(16), 1));
+}
+
+TEST(GraphStoreTest, ConnectedByConstructionSkipsTheBfs) {
+  // regular-pairing retries in the generator until the graph is connected,
+  // so a cold acquire (and the storeless execute_run path) runs no BFS.
+  GraphStore store;
+  const ParamMap params{{"n", "2000"}, {"r", "4"}};
+  const std::uint64_t before = connectivity_bfs_calls();
+  const auto cached = store.acquire("regular-pairing", params, 3);
+  EXPECT_EQ(connectivity_bfs_calls(), before);
+  EXPECT_TRUE(cached->connected());
+  EXPECT_TRUE(build_cached_graph("regular-pairing", params, 3)->connected());
+  EXPECT_EQ(connectivity_bfs_calls(), before);
+
+  // A family that does not declare it is still checked, once per build:
+  // C_12(2) splits into the even and the odd vertices.
+  const auto split = store.acquire("circulant", {{"n", "12"}, {"offsets", "2"}}, 1);
+  EXPECT_EQ(connectivity_bfs_calls(), before + 1);
+  EXPECT_FALSE(split->connected());
 }
 
 // ---- execute_run determinism under caching ---------------------------------
