@@ -10,7 +10,6 @@
 #include "bench/common.hpp"
 #include "covertime/experiment.hpp"
 #include "engine/budget.hpp"
-#include "engine/driver.hpp"
 #include "engine/registry.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -29,13 +28,9 @@ struct ProcessSpec {
 double run_process(const ProcessSpec& spec, const Graph& g,
                    const bench::BenchConfig& cfg, std::uint64_t salt,
                    CsvWriter& csv, std::uint32_t graph_id) {
-  const auto stats = run_trials_summary(
-      cfg.trials, cfg.threads, cfg.seed * 15485863 + salt,
-      [&](Rng& rng, std::uint32_t) {
-        auto walk = ProcessRegistry::instance().create(spec.name, g, spec.params, rng);
-        run_until_vertex_cover(*walk, rng, kUnlimitedSteps);
-        return static_cast<double>(walk->cover().vertex_cover_step());
-      });
+  const auto stats = bench::cover_stats(
+      g, bench::registry_process(spec.name, spec.params), CoverTarget::kVertices,
+      cfg, cfg.seed * 15485863 + salt, kUnlimitedSteps);
   std::printf("  %-16s %14.0f %10.3f\n", spec.label, stats.mean,
               stats.mean / g.num_vertices());
   csv.row({static_cast<double>(graph_id), static_cast<double>(salt), stats.mean,

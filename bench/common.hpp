@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "covertime/experiment.hpp"
+#include "engine/registry.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
@@ -69,6 +70,35 @@ inline GraphFactory regular_factory(const std::string& generator, Vertex n,
     };
   throw std::invalid_argument(
       "--generator must be pairing, sw, or pairing-bfs, got: " + generator);
+}
+
+/// A ProcessFactory building registry process `name` with `params`.
+inline ProcessFactory registry_process(std::string name, ParamMap params = {}) {
+  return [name = std::move(name), params = std::move(params)](const Graph& g,
+                                                              Rng& rng) {
+    return ProcessRegistry::instance().create(name, g, params, rng);
+  };
+}
+
+/// Cover-time statistics of `cfg.trials` walks on the shared graph `g`, one
+/// process from `factory` per trial, driven by run_target_trials to `target`
+/// on streams derived from `seed` (bit-identical for every --threads).
+/// Trials that miss the target within `max_steps` count as `max_steps`.
+inline SummaryStats cover_stats(const Graph& g, const ProcessFactory& factory,
+                                CoverTarget target, const BenchConfig& cfg,
+                                std::uint64_t seed, std::uint64_t max_steps) {
+  RunRequest req;
+  req.trials = cfg.trials;
+  req.threads = cfg.threads;
+  req.seed = seed;
+  req.max_steps = max_steps;
+  std::vector<double> samples;
+  for (const TrialOutcome& trial :
+       run_target_trials(req, TrialTarget(target), [&](Rng& rng) {
+         return TrialSetup{nullptr, factory(g, rng)};
+       }))
+    samples.push_back(trial.sample());
+  return summarize(samples);
 }
 
 inline void print_header(const char* title, const char* paper_claim) {

@@ -51,10 +51,11 @@ int main(int argc, char** argv) {
         m = g.num_edges();
         UniformRule rule;
         EProcess ep(g, 0, rule);
-        if (!run_until_edge_cover(ep, rng, 1ull << 40)) sandwich_ok = false;
+        if (!run_until(ep, rng, EdgesCovered{}, 1ull << 40))
+          sandwich_ok = false;
         const double ce = static_cast<double>(ep.cover().edge_cover_step());
         SimpleRandomWalk srw(g, 0);
-        run_until_vertex_cover(srw, rng, 1ull << 40);
+        run_until(srw, rng, VertexCovered{}, 1ull << 40);
         const double cv = static_cast<double>(srw.cover().vertex_cover_step());
         ce_sum += ce;
         cv_sum += cv;

@@ -42,7 +42,7 @@ double mean_cover(const Graph& g, std::uint32_t trials, std::uint64_t seed) {
     Rng rng(seed + t);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    run_until_vertex_cover(walk, rng, 1ull << 42);
+    run_until(walk, rng, VertexCovered{}, 1ull << 42);
     acc += static_cast<double>(walk.cover().vertex_cover_step());
   }
   return acc / trials;

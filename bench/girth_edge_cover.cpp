@@ -19,12 +19,9 @@
 #include "analysis/girth.hpp"
 #include "bench/common.hpp"
 #include "covertime/experiment.hpp"
-#include "engine/driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/lps.hpp"
 #include "spectral/spectrum.hpp"
-#include "walks/eprocess.hpp"
-#include "walks/rules.hpp"
 
 using namespace ewalk;
 
@@ -40,14 +37,9 @@ void report(const char* family, const Graph& g, const bench::BenchConfig& cfg,
   // lazy walk, so report the lazy gap.
   const double gap = spec.gap() > 1e-9 ? spec.gap() : spec.lazy_gap();
 
-  const auto ce = run_trials_summary(
-      cfg.trials, cfg.threads, cfg.seed * 31337 + g.num_vertices(),
-      [&g](Rng& rng, std::uint32_t) -> double {
-        UniformRule rule;
-        EProcess walk(g, 0, rule);
-        run_until_edge_cover(walk, rng, 1ull << 42);
-        return static_cast<double>(walk.cover().edge_cover_step());
-      });
+  const auto ce = bench::cover_stats(
+      g, bench::registry_process("eprocess"), CoverTarget::kEdges, cfg,
+      cfg.seed * 31337 + g.num_vertices(), 1ull << 42);
 
   const double thm3_norm = ce.mean / (m + m * std::log(n) / gi);
   std::printf("%-12s %8.0f %9.0f %6u %7.4f %13.0f %8.3f %10.3f\n", family, n, m,

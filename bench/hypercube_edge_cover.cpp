@@ -9,11 +9,7 @@
 
 #include "bench/common.hpp"
 #include "covertime/experiment.hpp"
-#include "engine/driver.hpp"
 #include "graph/generators.hpp"
-#include "walks/eprocess.hpp"
-#include "walks/rules.hpp"
-#include "walks/srw.hpp"
 
 using namespace ewalk;
 
@@ -38,21 +34,12 @@ int main(int argc, char** argv) {
     const double n = g.num_vertices();
     const double m = g.num_edges();
 
-    const auto ep = run_trials_summary(
-        cfg.trials, cfg.threads, cfg.seed * 104729 + r,
-        [&g](Rng& rng, std::uint32_t) -> double {
-          UniformRule rule;
-          EProcess walk(g, 0, rule);
-          run_until_edge_cover(walk, rng, 1ull << 42);
-          return static_cast<double>(walk.cover().edge_cover_step());
-        });
-    const auto srw = run_trials_summary(
-        cfg.trials, cfg.threads, cfg.seed * 104729 + r + 500,
-        [&g](Rng& rng, std::uint32_t) -> double {
-          SimpleRandomWalk walk(g, 0);
-          run_until_edge_cover(walk, rng, 1ull << 42);
-          return static_cast<double>(walk.cover().edge_cover_step());
-        });
+    const auto ep = bench::cover_stats(g, bench::registry_process("eprocess"),
+                                       CoverTarget::kEdges, cfg,
+                                       cfg.seed * 104729 + r, 1ull << 42);
+    const auto srw = bench::cover_stats(g, bench::registry_process("srw"),
+                                        CoverTarget::kEdges, cfg,
+                                        cfg.seed * 104729 + r + 500, 1ull << 42);
 
     const double ln_n = std::log(n);
     const double e_norm = ep.mean / (n * ln_n);

@@ -59,6 +59,7 @@
 #include "engine/params.hpp"
 #include "engine/registry.hpp"
 #include "graph/graph.hpp"
+#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -118,13 +119,14 @@ std::vector<ProcessSpec> processes() {
   };
 }
 
-/// Escapes nothing (keys are [a-z0-9-]); kept trivial on purpose.
-void write_json(const std::string& path, bool quick, std::uint64_t seed,
+/// Writes the JSON report; false (after a message on stderr) when `path`
+/// cannot be opened.
+bool write_json(const std::string& path, bool quick, std::uint64_t seed,
                 std::uint64_t chunk, const std::vector<Result>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\n  \"bench\": \"throughput\",\n  \"version\": 2,\n"
@@ -136,16 +138,18 @@ void write_json(const std::string& path, bool quick, std::uint64_t seed,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(f,
-                 "    {\"process\": \"%s\", \"graph\": \"%s\", \"n\": %u, "
+                 "    {\"process\": %s, \"graph\": %s, \"n\": %u, "
                  "\"m\": %u, \"bundle\": %u, \"steps\": %llu, "
                  "\"seconds\": %.6f, \"steps_per_sec\": %.1f}%s\n",
-                 r.process.c_str(), r.graph.c_str(), r.n, r.m, r.bundle,
+                 json_quote(r.process).c_str(), json_quote(r.graph).c_str(),
+                 r.n, r.m, r.bundle,
                  static_cast<unsigned long long>(r.steps), r.seconds,
                  r.steps_per_sec, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -274,6 +278,7 @@ int main(int argc, char** argv) {
   }
 
   // bench_out/ already exists: open_csv created it.
-  write_json("bench_out/BENCH_throughput.json", quick, seed, chunk, results);
+  if (!write_json("bench_out/BENCH_throughput.json", quick, seed, chunk, results))
+    return 1;
   return 0;
 }

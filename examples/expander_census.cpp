@@ -40,7 +40,7 @@ void census(const char* name, const Graph& g, std::uint32_t trials,
     Rng rng(seed + t);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    run_until_vertex_cover(walk, rng, 1ull << 42);
+    run_until(walk, rng, VertexCovered{}, 1ull << 42);
     cover += static_cast<double>(walk.cover().vertex_cover_step());
   }
   cover /= trials;

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   for (auto& [label, rule] : entries) {
     Rng rng(seed + 1);
     EProcess walk(g, 0, *rule, EProcessOptions{.record_phases = true});
-    run_until_vertex_cover(walk, rng, 1ull << 42);
+    run_until(walk, rng, VertexCovered{}, 1ull << 42);
     std::printf("%-22s %12llu %10.3f %10llu %10llu %8zu\n", label,
                 static_cast<unsigned long long>(walk.cover().vertex_cover_step()),
                 static_cast<double>(walk.cover().vertex_cover_step()) / n,

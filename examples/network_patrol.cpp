@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   {
     SimpleRandomWalk walk(g, 0);
-    run_until_edge_cover(walk, rng, 1ull << 42);
+    run_until(walk, rng, EdgesCovered{}, 1ull << 42);
     const auto sweep = walk.cover().edge_cover_step();
     Rng probe_rng = rng.split();
     const auto gap = max_revisit_gap(
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     UniformRule rule;
     EProcess walk(g, 0, rule);
     Rng walk_rng = rng.split();
-    run_until_edge_cover(walk, walk_rng, 1ull << 42);
+    run_until(walk, walk_rng, EdgesCovered{}, 1ull << 42);
     const auto sweep = walk.cover().edge_cover_step();
     std::printf("%-16s %16llu %18s\n", "E-process",
                 static_cast<unsigned long long>(sweep),
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
 
   {
     RotorRouter walk(g, 0);
-    run_until_edge_cover(walk, 1ull << 42);
+    run_until(walk, EdgesCovered{}, 1ull << 42);
     const auto sweep = walk.cover().edge_cover_step();
     // After stabilisation the rotor tour is Eulerian: every edge exactly
     // twice (once per direction) per 2m steps => revisit gap <= 2m.
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
 
   {
     LocallyFairWalk walk(g, 0, FairnessCriterion::kLeastUsedFirst);
-    run_until_edge_cover(walk, 1ull << 42);
+    run_until(walk, EdgesCovered{}, 1ull << 42);
     const auto sweep = walk.cover().edge_cover_step();
     std::vector<std::uint64_t> last(g.num_edges(), 0);
     std::uint64_t worst = 0;

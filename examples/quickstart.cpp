@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // walk randomly when none remain at the current vertex.
   UniformRule rule;
   EProcess eprocess(g, /*start=*/0, rule);
-  run_until_vertex_cover(eprocess, rng, /*max_steps=*/1ull << 40);
+  run_until(eprocess, rng, VertexCovered{}, /*max_steps=*/1ull << 40);
   std::printf("\nE-process vertex cover time:  %12llu  (%.2f per vertex)\n",
               static_cast<unsigned long long>(eprocess.cover().vertex_cover_step()),
               static_cast<double>(eprocess.cover().vertex_cover_step()) / n);
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   // Baseline: the simple random walk needs Ω(n log n).
   SimpleRandomWalk srw(g, 0);
-  run_until_vertex_cover(srw, rng, 1ull << 40);
+  run_until(srw, rng, VertexCovered{}, 1ull << 40);
   const double cv_srw = static_cast<double>(srw.cover().vertex_cover_step());
   std::printf("SRW vertex cover time:        %12.0f  (%.2f per vertex, %.2f n ln n)\n",
               cv_srw, cv_srw / n, cv_srw / (n * std::log(static_cast<double>(n))));

@@ -8,37 +8,6 @@
 
 namespace ewalk {
 
-std::vector<double> run_trials(std::uint32_t count, std::uint32_t threads,
-                               std::uint64_t master_seed,
-                               const std::function<double(Rng&, std::uint32_t)>& fn) {
-  std::vector<Rng> streams = derive_streams(master_seed, count);
-  std::vector<double> results(count, 0.0);
-
-  std::uint32_t workers = threads == 0 ? Executor::hardware_threads() : threads;
-  workers = std::min(workers, count == 0 ? 1u : count);
-
-  if (workers <= 1) {
-    for (std::uint32_t i = 0; i < count; ++i) results[i] = fn(streams[i], i);
-    return results;
-  }
-
-  // One trial per scheduler task. Trial i's stream is a pure function of
-  // (master_seed, i), so which thread steals it cannot affect the result;
-  // the scope cap keeps at most `workers` threads on this call.
-  TaskScope scope(workers);
-  for (std::uint32_t i = 0; i < count; ++i)
-    scope.spawn([&results, &streams, &fn, i] { results[i] = fn(streams[i], i); });
-  scope.wait();
-  return results;
-}
-
-SummaryStats run_trials_summary(std::uint32_t count, std::uint32_t threads,
-                                std::uint64_t master_seed,
-                                const std::function<double(Rng&, std::uint32_t)>& fn) {
-  const auto samples = run_trials(count, threads, master_seed, fn);
-  return summarize(samples);
-}
-
 TrialTarget::TrialTarget(CoverTarget cover)
     : kind_(cover == CoverTarget::kEdges ? RunTarget::kEdges
                                          : RunTarget::kVertices) {}

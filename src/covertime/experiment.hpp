@@ -2,13 +2,11 @@
 //
 // The paper's Figure 1 plots the trial-mean normalised cover time (5 trials
 // per point, new random graph per trial). This module provides:
-//   * run_trials — generic parallel trial executor with per-trial
-//     deterministic RNG streams (bit-reproducible regardless of thread
-//     scheduling);
 //   * TrialTarget + run_target_trials — the one trial loop: every trial a
-//     harness runs (here, in execute_run, and in the sweep's units) reaches
-//     its target through run_trial_bundle (engine/bundle.hpp), width 1
-//     being a bundle of one;
+//     harness runs (here, in execute_run, in the benches, and in the
+//     sweep's units) reaches its target through run_trial_bundle
+//     (engine/bundle.hpp), width 1 being a bundle of one, on per-trial
+//     streams that make results bit-identical across thread counts;
 //   * measure_cover — the one cover-time experiment: any WalkProcess
 //     factory, any graph factory, vertex or edge target;
 //   * measure_coalescence — the interacting-walker mirror of measure_cover:
@@ -36,23 +34,6 @@
 #include "util/stats.hpp"
 
 namespace ewalk {
-
-/// Runs `count` trials of `fn`, each with an independent stream derived from
-/// `master_seed`, with up to `threads`-way parallelism (0 => hardware
-/// default) as a TaskScope on the work-stealing Executor
-/// (util/thread_pool.hpp) — no thread spawn/teardown per call, and callers
-/// already inside a scope nest cleanly. Trial i's stream depends only on
-/// (master_seed, i), so results are bit-identical across thread counts and
-/// are returned in trial order. `fn` must be safe to call concurrently from
-/// several threads (it receives a private Rng).
-std::vector<double> run_trials(std::uint32_t count, std::uint32_t threads,
-                               std::uint64_t master_seed,
-                               const std::function<double(Rng&, std::uint32_t)>& fn);
-
-/// run_trials + summarize.
-SummaryStats run_trials_summary(std::uint32_t count, std::uint32_t threads,
-                                std::uint64_t master_seed,
-                                const std::function<double(Rng&, std::uint32_t)>& fn);
 
 /// What a cover-time trial should measure.
 enum class CoverTarget : std::uint8_t { kVertices, kEdges };

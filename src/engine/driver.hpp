@@ -1,8 +1,9 @@
 // The generic cover driver: one run_until() loop for every walk process.
 //
-// Replaces the per-class run_until_vertex_cover / run_until_edge_cover /
-// run_until_visit_count member loops that each walk used to duplicate.
-// The driver is a template over the process type, so it drives both
+// Callers name the target as a predicate, e.g.
+// run_until(walk, rng, VertexCovered{}, budget); there is no per-target
+// entry point. The driver is a template over the process type, so it
+// drives both
 //   * concrete walk classes (EProcess, SimpleRandomWalk, ...) with static
 //     dispatch — the hot loop compiles to exactly the old member loop — and
 //   * WalkProcess& (registry-constructed processes) with virtual dispatch.
@@ -13,7 +14,7 @@
 // before the predicate holds). Expensive predicates (min-visit-count is
 // O(n)) declare a check stride so the driver only evaluates them every
 // `stride` transitions — the same burst pattern the legacy
-// SimpleRandomWalk::run_until_visit_count used, reproducing its step counts
+// SimpleRandomWalk visit-count loop used, reproducing its step counts
 // exactly.
 //
 // RNG discipline: the driver makes precisely one step() call per
@@ -148,48 +149,6 @@ bool run_until(Process& process, Predicate predicate, std::uint64_t max_steps,
                std::uint64_t check_stride = 1) {
   Rng unused(0);
   return run_until(process, unused, predicate, max_steps, check_stride);
-}
-
-// ---- Convenience wrappers (the legacy member-loop surface) ---------------
-
-/// Runs until every vertex is visited (or the budget runs out).
-template <typename Process>
-bool run_until_vertex_cover(Process& process, Rng& rng, std::uint64_t max_steps) {
-  return run_until(process, rng, VertexCovered{}, max_steps);
-}
-
-/// Runs until every edge is traversed (or the budget runs out).
-template <typename Process>
-bool run_until_edge_cover(Process& process, Rng& rng, std::uint64_t max_steps) {
-  return run_until(process, rng, EdgesCovered{}, max_steps);
-}
-
-/// Runs until every vertex has been visited at least `count` times (blanket
-/// bounds: d(v) visits force all incident edges red in the E-process
-/// edge-cover argument, eq. (4)). Checked every n steps, as the legacy
-/// SimpleRandomWalk burst loop did.
-template <typename Process>
-bool run_until_visit_count(Process& process, Rng& rng, std::uint32_t count,
-                           std::uint64_t max_steps) {
-  return run_until(process, rng, MinVisitCountAtLeast{count}, max_steps,
-                   visit_count_stride(process.graph()));
-}
-
-// Rng-less overloads, restricted to deterministic processes (as the deleted
-// per-class API was: only RotorRouter and LocallyFairWalk had rng-less loops).
-
-/// Rng-less vertex-cover driver for deterministic processes.
-template <DeterministicProcess Process>
-bool run_until_vertex_cover(Process& process, std::uint64_t max_steps) {
-  Rng unused(0);
-  return run_until(process, unused, VertexCovered{}, max_steps);
-}
-
-/// Rng-less edge-cover driver for deterministic processes.
-template <DeterministicProcess Process>
-bool run_until_edge_cover(Process& process, std::uint64_t max_steps) {
-  Rng unused(0);
-  return run_until(process, unused, EdgesCovered{}, max_steps);
 }
 
 }  // namespace ewalk

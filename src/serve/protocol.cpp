@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -329,40 +328,6 @@ std::string serialize_request(const ServerRequest& request) {
   if (!first) out << ",\"params\":{" << params.str() << '}';
   out << '}';
   return out.str();
-}
-
-std::string format_json_double(double d) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", d);
-  return buffer;
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 std::string serialize_queued(const std::string& id, std::uint64_t ticket) {

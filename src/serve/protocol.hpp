@@ -20,8 +20,10 @@
 //
 // Determinism: serializers emit fields in a fixed order and format doubles
 // with %.17g (shortest round-trip not needed; 17 significant digits is
-// bit-faithful), so byte-identical results serialize to byte-identical
-// lines — golden-file diffs in CI depend on this.
+// bit-faithful; util/json.hpp), so byte-identical results serialize to
+// byte-identical lines. The bytes are pinned by serve_test's
+// Protocol.ResponseLinesArePinnedByteForByte; the CI golden diff compares
+// re-serialized lines, so it pins fields and values only.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,7 @@
 
 #include "serve/graph_store.hpp"
 #include "serve/request.hpp"
+#include "util/json.hpp"
 
 namespace ewalk {
 
@@ -86,13 +89,6 @@ ServerRequest parse_request(const std::string& line);
 /// order, params sorted). parse_request(serialize_request(r)) reproduces
 /// `r` — the round-trip property the protocol tests pin.
 std::string serialize_request(const ServerRequest& request);
-
-/// `d` formatted with %.17g — enough digits that parsing the text recovers
-/// the exact bits, so serialized samples are a faithful determinism witness.
-std::string format_json_double(double d);
-
-/// `text` as a quoted JSON string (control characters escaped).
-std::string json_quote(const std::string& text);
 
 /// The immediate acknowledgement for an accepted run:
 /// {"id":..,"status":"queued","ticket":N}.

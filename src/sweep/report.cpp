@@ -5,28 +5,9 @@
 #include <stdexcept>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace ewalk {
-
-namespace {
-
-// Bench-controlled names are [a-z0-9-=.]; escape the JSON specials anyway so
-// a future caller with an exotic label cannot emit malformed JSON.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
-// %.17g round-trips doubles exactly; integral values print without noise.
-void print_double(std::FILE* f, double v) { std::fprintf(f, "%.17g", v); }
-
-}  // namespace
 
 std::string write_sweep_json(const SweepResult& result,
                              const std::string& directory) {
@@ -37,38 +18,34 @@ std::string write_sweep_json(const SweepResult& result,
     throw std::runtime_error("write_sweep_json: cannot open " + path);
 
   std::fprintf(f,
-               "{\n  \"sweep\": \"%s\",\n  \"version\": 3,\n"
+               "{\n  \"sweep\": %s,\n  \"version\": 3,\n"
                "  \"seed\": %llu,\n  \"trials\": %u,\n  \"max_trials\": %u,\n"
-               "  \"ci_rel_target\": ",
-               json_escape(result.name).c_str(),
+               "  \"ci_rel_target\": %s,\n  \"threads\": %u,\n"
+               "  \"reuse_graph\": %s,\n  \"pin\": %s,\n"
+               "  \"gen_seconds\": %s,\n  \"walk_seconds\": %s,\n"
+               "  \"wall_seconds\": %s,\n  \"unit_count\": %u,\n"
+               "  \"unit_seconds_min\": %s,\n  \"unit_seconds_max\": %s,\n"
+               "  \"timeline_bucket_seconds\": %s,\n  \"thread_timeline\": [",
+               json_quote(result.name).c_str(),
                static_cast<unsigned long long>(result.master_seed),
-               result.trials, result.max_trials);
-  print_double(f, result.ci_rel_target);
-  std::fprintf(f, ",\n  \"threads\": %u,\n  \"reuse_graph\": %s,\n",
-               result.threads, result.reuse_graph ? "true" : "false");
-  std::fprintf(f, "  \"pin\": %s,\n", result.pinned ? "true" : "false");
-  std::fprintf(f, "  \"gen_seconds\": ");
-  print_double(f, result.gen_seconds);
-  std::fprintf(f, ",\n  \"walk_seconds\": ");
-  print_double(f, result.walk_seconds);
-  std::fprintf(f, ",\n  \"wall_seconds\": ");
-  print_double(f, result.wall_seconds);
-  std::fprintf(f, ",\n  \"unit_count\": %u,\n  \"unit_seconds_min\": ",
-               result.unit_count);
-  print_double(f, result.unit_seconds_min);
-  std::fprintf(f, ",\n  \"unit_seconds_max\": ");
-  print_double(f, result.unit_seconds_max);
-  std::fprintf(f, ",\n  \"timeline_bucket_seconds\": ");
-  print_double(f, result.timeline_bucket_seconds);
-  std::fprintf(f, ",\n  \"thread_timeline\": [");
+               result.trials, result.max_trials,
+               format_json_double(result.ci_rel_target).c_str(), result.threads,
+               result.reuse_graph ? "true" : "false",
+               result.pinned ? "true" : "false",
+               format_json_double(result.gen_seconds).c_str(),
+               format_json_double(result.walk_seconds).c_str(),
+               format_json_double(result.wall_seconds).c_str(),
+               result.unit_count,
+               format_json_double(result.unit_seconds_min).c_str(),
+               format_json_double(result.unit_seconds_max).c_str(),
+               format_json_double(result.timeline_bucket_seconds).c_str());
   for (std::size_t i = 0; i < result.thread_timeline.size(); ++i) {
     const SweepThreadTimeline& timeline = result.thread_timeline[i];
     std::fprintf(f, "%s\n    {\"thread\": %u, \"busy_seconds\": [",
                  i > 0 ? "," : "", timeline.thread);
-    for (std::size_t b = 0; b < timeline.busy_seconds.size(); ++b) {
-      if (b > 0) std::fprintf(f, ", ");
-      print_double(f, timeline.busy_seconds[b]);
-    }
+    for (std::size_t b = 0; b < timeline.busy_seconds.size(); ++b)
+      std::fprintf(f, "%s%s", b > 0 ? ", " : "",
+                   format_json_double(timeline.busy_seconds[b]).c_str());
     std::fprintf(f, "],\n     \"units\": [");
     for (std::size_t b = 0; b < timeline.units.size(); ++b)
       std::fprintf(f, "%s%llu", b > 0 ? ", " : "",
@@ -80,41 +57,34 @@ std::string write_sweep_json(const SweepResult& result,
 
   for (std::size_t p = 0; p < result.points.size(); ++p) {
     const SweepPointResult& point = result.points[p];
-    std::fprintf(f, "    {\"label\": \"%s\", \"params\": {",
-                 json_escape(point.label).c_str());
-    for (std::size_t i = 0; i < point.params.size(); ++i) {
-      std::fprintf(f, "%s\"%s\": ", i > 0 ? ", " : "",
-                   json_escape(point.params[i].name).c_str());
-      print_double(f, point.params[i].value);
-    }
-    std::fprintf(f, "}, \"gen_seconds\": ");
-    print_double(f, point.gen_seconds);
-    std::fprintf(f, ",\n     \"series\": [\n");
+    std::fprintf(f, "    {\"label\": %s, \"params\": {",
+                 json_quote(point.label).c_str());
+    for (std::size_t i = 0; i < point.params.size(); ++i)
+      std::fprintf(f, "%s%s: %s", i > 0 ? ", " : "",
+                   json_quote(point.params[i].name).c_str(),
+                   format_json_double(point.params[i].value).c_str());
+    std::fprintf(f, "}, \"gen_seconds\": %s,\n     \"series\": [\n",
+                 format_json_double(point.gen_seconds).c_str());
     for (std::size_t s = 0; s < point.series.size(); ++s) {
       const SweepSeriesResult& sr = point.series[s];
-      std::fprintf(f, "       {\"name\": \"%s\", \"mean\": ",
-                   json_escape(sr.name).c_str());
-      print_double(f, sr.stats.mean);
-      std::fprintf(f, ", \"ci95\": ");
-      print_double(f, sr.stats.ci95_halfwidth());
-      std::fprintf(f, ", \"median\": ");
-      print_double(f, sr.stats.median);
-      std::fprintf(f, ", \"min\": ");
-      print_double(f, sr.stats.min);
-      std::fprintf(f, ", \"max\": ");
-      print_double(f, sr.stats.max);
       std::fprintf(f,
-                   ",\n        \"uncovered_trials\": %u, \"trials_used\": %u,"
-                   " \"ci_rel_width\": ",
-                   sr.uncovered_trials, sr.trials_used);
-      print_double(f, sr.ci_rel_width);
-      std::fprintf(f, ", \"walk_seconds\": ");
-      print_double(f, sr.walk_seconds);
-      std::fprintf(f, ", \"samples\": [");
-      for (std::size_t t = 0; t < sr.samples.size(); ++t) {
-        if (t > 0) std::fprintf(f, ", ");
-        print_double(f, sr.samples[t]);
-      }
+                   "       {\"name\": %s, \"mean\": %s, \"ci95\": %s,"
+                   " \"median\": %s, \"min\": %s, \"max\": %s,\n"
+                   "        \"uncovered_trials\": %u, \"trials_used\": %u,"
+                   " \"ci_rel_width\": %s, \"walk_seconds\": %s,"
+                   " \"samples\": [",
+                   json_quote(sr.name).c_str(),
+                   format_json_double(sr.stats.mean).c_str(),
+                   format_json_double(sr.stats.ci95_halfwidth()).c_str(),
+                   format_json_double(sr.stats.median).c_str(),
+                   format_json_double(sr.stats.min).c_str(),
+                   format_json_double(sr.stats.max).c_str(),
+                   sr.uncovered_trials, sr.trials_used,
+                   format_json_double(sr.ci_rel_width).c_str(),
+                   format_json_double(sr.walk_seconds).c_str());
+      for (std::size_t t = 0; t < sr.samples.size(); ++t)
+        std::fprintf(f, "%s%s", t > 0 ? ", " : "",
+                     format_json_double(sr.samples[t]).c_str());
       std::fprintf(f, "]}%s\n", s + 1 < point.series.size() ? "," : "");
     }
     std::fprintf(f, "     ]}%s\n", p + 1 < result.points.size() ? "," : "");

@@ -144,7 +144,7 @@ class EProcess {
 
   /// Performs one transition. Returns its colour. Drive to a termination
   /// condition with the generic engine driver (engine/driver.hpp), e.g.
-  /// run_until_vertex_cover(walk, rng, budget).
+  /// run_until(walk, rng, VertexCovered{}, budget).
   StepColor step(Rng& rng);
 
   /// Performs `k` transitions as one call; bit-identical to k step() calls.

@@ -21,20 +21,7 @@ const ProcessFactory srw_walk =
   return std::make_unique<SimpleRandomWalk>(g, 0);
 };
 
-TEST(RunTrials, DeterministicAcrossThreadCounts) {
-  const auto fn = [](Rng& rng, std::uint32_t) -> double {
-    double acc = 0;
-    for (int i = 0; i < 1000; ++i) acc += rng.uniform_real();
-    return acc;
-  };
-  const auto serial = run_trials(16, 1, 99, fn);
-  const auto par2 = run_trials(16, 2, 99, fn);
-  const auto par8 = run_trials(16, 8, 99, fn);
-  EXPECT_EQ(serial, par2);
-  EXPECT_EQ(serial, par8);
-}
-
-TEST(RunTrials, ThreadCountInvarianceWithRealWalks) {
+TEST(MeasureCover, ThreadCountInvarianceWithRealWalks) {
   // The determinism contract the harness documents: trial i's stream is a
   // pure function of (master_seed, i), so threads=1 and threads=8 must
   // return bit-identical vectors — including when trials build graphs and
@@ -56,27 +43,6 @@ TEST(RunTrials, ThreadCountInvarianceWithRealWalks) {
   req.threads = 8;
   const auto srw_parallel = measure_cover(srw_walk, graphs, req);
   EXPECT_EQ(srw_serial.samples, srw_parallel.samples);
-}
-
-TEST(RunTrials, TrialIndexPassed) {
-  const auto fn = [](Rng&, std::uint32_t idx) -> double { return idx; };
-  const auto out = run_trials(5, 3, 1, fn);
-  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(out[i], i);
-}
-
-TEST(RunTrials, ZeroTrials) {
-  const auto out = run_trials(0, 4, 1, [](Rng&, std::uint32_t) { return 1.0; });
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(RunTrials, SummaryMatchesSamples) {
-  const auto fn = [](Rng& rng, std::uint32_t) -> double {
-    return static_cast<double>(rng.uniform(100));
-  };
-  const auto samples = run_trials(20, 4, 7, fn);
-  const auto summary = run_trials_summary(20, 4, 7, fn);
-  EXPECT_EQ(summary.count, 20u);
-  EXPECT_DOUBLE_EQ(summary.mean, summarize(samples).mean);
 }
 
 TEST(MeasureCover, EProcessOnCycleIsExact) {

@@ -46,7 +46,7 @@ TEST(EngineDriver, ReproducesLegacyEProcessLoopSeedForSeed) {
     UniformRule rule_b;
     EProcess b(g, 0, rule_b);
     Rng rb(seed);
-    const bool done_b = run_until_vertex_cover(b, rb, 1u << 22);
+    const bool done_b = run_until(b, rb, VertexCovered{}, 1u << 22);
 
     ASSERT_TRUE(done_a);
     ASSERT_TRUE(done_b);
@@ -67,7 +67,7 @@ TEST(EngineDriver, ReproducesLegacySrwLoopSeedForSeed) {
 
     SimpleRandomWalk b(g, 0);
     Rng rb(seed);
-    const bool done_b = run_until_vertex_cover(b, rb, 1u << 22);
+    const bool done_b = run_until(b, rb, VertexCovered{}, 1u << 22);
 
     ASSERT_TRUE(done_a);
     ASSERT_TRUE(done_b);
@@ -78,7 +78,7 @@ TEST(EngineDriver, ReproducesLegacySrwLoopSeedForSeed) {
 }
 
 TEST(EngineDriver, VisitCountStrideMatchesLegacyBurstLoop) {
-  // Legacy SimpleRandomWalk::run_until_visit_count stepped in bursts of n
+  // The legacy SimpleRandomWalk visit-count loop stepped in bursts of n
   // between O(n) min-visit-count checks; the generic driver's stride must
   // reproduce its step counts exactly.
   const Graph g = cycle_graph(40);
@@ -92,7 +92,8 @@ TEST(EngineDriver, VisitCountStrideMatchesLegacyBurstLoop) {
 
   SimpleRandomWalk b(g, 0);
   Rng rb(11);
-  ASSERT_TRUE(run_until_visit_count(b, rb, 3, 1u << 22));
+  ASSERT_TRUE(run_until(b, rb, MinVisitCountAtLeast{3}, 1u << 22,
+                        visit_count_stride(g)));
   EXPECT_EQ(a.steps(), b.steps());
   EXPECT_EQ(a.current(), b.current());
 }
@@ -101,7 +102,7 @@ TEST(EngineDriver, BudgetExhaustionReturnsFalseWithoutOverrun) {
   const Graph g = cycle_graph(64);
   SimpleRandomWalk w(g, 0);
   Rng rng(5);
-  EXPECT_FALSE(run_until_vertex_cover(w, rng, 10));
+  EXPECT_FALSE(run_until(w, rng, VertexCovered{}, 10));
   EXPECT_EQ(w.steps(), 10u);
 }
 
@@ -142,12 +143,12 @@ TEST(EngineFastPath, UniformFastPathMatchesGenericDispatchBitForBit) {
     UniformRule fast;
     EProcess a(g, 0, fast);  // takes the O(1) fast path
     Rng ra(seed);
-    ASSERT_TRUE(run_until_edge_cover(a, ra, 1u << 24));
+    ASSERT_TRUE(run_until(a, ra, EdgesCovered{}, 1u << 24));
 
     SlowUniformRule slow;
     EProcess b(g, 0, slow);  // generic virtual dispatch, same draw
     Rng rb(seed);
-    ASSERT_TRUE(run_until_edge_cover(b, rb, 1u << 24));
+    ASSERT_TRUE(run_until(b, rb, EdgesCovered{}, 1u << 24));
 
     EXPECT_EQ(a.steps(), b.steps());
     EXPECT_EQ(a.blue_steps(), b.blue_steps());
@@ -185,7 +186,7 @@ TEST(ProcessRegistry, EveryRegisteredProcessCoversCycleAndHypercube) {
       auto walk = ProcessRegistry::instance().create(name, g, ParamMap{}, rng);
       ASSERT_NE(walk, nullptr) << name;
       EXPECT_EQ(walk->steps(), 0u) << name;
-      EXPECT_TRUE(run_until_vertex_cover(*walk, rng, budget))
+      EXPECT_TRUE(run_until(*walk, rng, VertexCovered{}, budget))
           << name << " failed to cover n=" << g.num_vertices();
       EXPECT_TRUE(walk->cover().all_vertices_covered()) << name;
       EXPECT_EQ(&walk->graph(), &g) << name;
@@ -233,12 +234,12 @@ TEST(ProcessRegistry, RegistryEProcessMatchesDirectConstructionSeedForSeed) {
 
   Rng r1(99);
   auto via_registry = ProcessRegistry::instance().create("eprocess", g, ParamMap{}, r1);
-  ASSERT_TRUE(run_until_vertex_cover(*via_registry, r1, 1u << 22));
+  ASSERT_TRUE(run_until(*via_registry, r1, VertexCovered{}, 1u << 22));
 
   UniformRule rule;
   EProcess direct(g, 0, rule);
   Rng r2(99);
-  ASSERT_TRUE(run_until_vertex_cover(direct, r2, 1u << 22));
+  ASSERT_TRUE(run_until(direct, r2, VertexCovered{}, 1u << 22));
 
   EXPECT_EQ(via_registry->steps(), direct.steps());
   EXPECT_EQ(via_registry->cover().vertex_cover_step(),

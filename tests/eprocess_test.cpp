@@ -77,7 +77,7 @@ TEST_P(EProcessInvariants, BluePhasesReturnToStart) {
   ASSERT_TRUE(g.all_degrees_even());
   auto rule = make_rule(rk, g);
   EProcess walk(g, 0, *rule, EProcessOptions{.record_phases = true});
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
 
   const auto& phases = walk.phases();
   ASSERT_FALSE(phases.empty());
@@ -130,7 +130,7 @@ TEST_P(EProcessInvariants, BlueStepsNeverExceedEdges) {
   const Graph g = make_graph(gk, rng);
   auto rule = make_rule(rk, g);
   EProcess walk(g, 0, *rule);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(walk.steps(), walk.red_steps() + walk.blue_steps());
   EXPECT_LE(walk.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
   // Edge cover => every edge was crossed by a blue transition exactly once.
@@ -145,7 +145,7 @@ TEST_P(EProcessInvariants, EdgeCoverAtLeastM) {
   const Graph g = make_graph(gk, rng);
   auto rule = make_rule(rk, g);
   EProcess walk(g, 0, *rule);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   EXPECT_GE(walk.cover().edge_cover_step(), static_cast<std::uint64_t>(g.num_edges()));
 }
 
@@ -155,7 +155,7 @@ TEST_P(EProcessInvariants, VertexCoverImpliesAllVisited) {
   const Graph g = make_graph(gk, rng);
   auto rule = make_rule(rk, g);
   EProcess walk(g, 0, *rule);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
   EXPECT_TRUE(walk.cover().all_vertices_covered());
   for (Vertex v = 0; v < g.num_vertices(); ++v)
     EXPECT_TRUE(walk.cover().vertex_visited(v));
@@ -208,7 +208,7 @@ TEST(EProcess, FixedPriorityRuleIsAValidOfflineAdversary) {
   FixedPriorityRule rule(g.num_edges(), prio_rng);
   Rng rng(33);
   EProcess walk(g, 0, rule, EProcessOptions{.record_phases = true});
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   // Obs 10 still holds under the offline adversary.
   const auto& phases = walk.phases();
   for (std::size_t i = 0; i + 1 < phases.size(); ++i) {
@@ -226,7 +226,7 @@ TEST(EProcess, FixedPriorityIsDeterministicGivenPermutation) {
     FixedPriorityRule rule(prio);
     Rng rng(35);
     EProcess walk(g, 0, rule);
-    run_until_vertex_cover(walk, rng, 1u << 24);
+    run_until(walk, rng, VertexCovered{}, 1u << 24);
     return walk.cover().vertex_cover_step();
   };
   EXPECT_EQ(run(), run());
@@ -238,7 +238,7 @@ TEST(EProcess, CoversMargulisExpanderLinearly) {
   Rng rng(36);
   UniformRule rule;
   EProcess walk(g, 0, rule);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 26));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 26));
   EXPECT_LT(walk.cover().vertex_cover_step(), 10u * g.num_vertices());
 }
 
@@ -266,7 +266,7 @@ TEST(EProcess, OddDegreeGraphsBluePhasesMayStrand) {
   const Graph g = random_regular_connected(50, 3, rng);
   UniformRule rule;
   EProcess walk(g, 0, rule);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   EXPECT_TRUE(walk.cover().all_edges_covered());
 }
 
@@ -279,7 +279,7 @@ TEST(EProcess, SelfLoopConsumesBothSlots) {
   Rng rng(7);
   UniformRule rule;
   EProcess walk(g, 0, rule);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 10000));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 10000));
   EXPECT_EQ(walk.blue_degree(0), 0u);
   EXPECT_EQ(walk.blue_degree(1), 0u);
 }
@@ -291,7 +291,7 @@ TEST(EProcess, DeterministicGivenSeedAndRule) {
     Rng rng(seed);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    run_until_vertex_cover(walk, rng, 1u << 24);
+    run_until(walk, rng, VertexCovered{}, 1u << 24);
     return walk.cover().vertex_cover_step();
   };
   EXPECT_EQ(run(123), run(123));
@@ -342,7 +342,7 @@ TEST(EProcess, GreedyRuleNeverSlowerThanMOnCycle) {
     Rng rng(pass);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    ASSERT_TRUE(run_until_edge_cover(walk, rng, 1000));
+    ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1000));
     EXPECT_EQ(walk.cover().vertex_cover_step(), 99u);
     EXPECT_EQ(walk.cover().edge_cover_step(), 100u);
     EXPECT_EQ(walk.red_steps(), 0u);
@@ -354,7 +354,7 @@ TEST(EProcess, PhasesPartitionSteps) {
   const Graph g = random_regular_connected(40, 4, rng);
   UniformRule rule;
   EProcess walk(g, 0, rule, EProcessOptions{.record_phases = true});
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   const auto& phases = walk.phases();
   std::uint64_t counted = 0;
   for (std::size_t i = 0; i < phases.size(); ++i) {

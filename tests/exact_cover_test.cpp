@@ -65,7 +65,7 @@ TEST(ExactSrw, MatchesMonteCarlo) {
   double acc = 0;
   for (int t = 0; t < kTrials; ++t) {
     SimpleRandomWalk walk(g, 0);
-    run_until_vertex_cover(walk, rng, 1u << 22);
+    run_until(walk, rng, VertexCovered{}, 1u << 22);
     acc += static_cast<double>(walk.cover().vertex_cover_step());
   }
   const double mc = acc / kTrials;
@@ -143,7 +143,7 @@ TEST(ExactEProcess, MatchesMonteCarlo) {
     for (int t = 0; t < kTrials; ++t) {
       UniformRule rule;
       EProcess walk(g, 0, rule);
-      run_until_edge_cover(walk, rng, 1u << 22);
+      run_until(walk, rng, EdgesCovered{}, 1u << 22);
       acc_v += static_cast<double>(walk.cover().vertex_cover_step());
       acc_e += static_cast<double>(walk.cover().edge_cover_step());
     }
@@ -167,7 +167,7 @@ TEST(ExactEProcess, MultigraphWithLoop) {
   for (int t = 0; t < kTrials; ++t) {
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    run_until_edge_cover(walk, rng, 1u << 20);
+    run_until(walk, rng, EdgesCovered{}, 1u << 20);
     acc += static_cast<double>(walk.cover().edge_cover_step());
   }
   EXPECT_NEAR(acc / kTrials, exact_e, exact_e * 0.02);

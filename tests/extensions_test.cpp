@@ -79,7 +79,7 @@ TEST(Evenize, ObservationTenHoldsOnEvenizedOddGraph) {
     ASSERT_TRUE(fixed.all_degrees_even());
     UniformRule rule;
     EProcess walk(fixed, 0, rule, EProcessOptions{.record_phases = true});
-    ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+    ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
     const auto& phases = walk.phases();
     for (std::size_t i = 0; i + 1 < phases.size(); ++i) {
       if (phases[i].color != StepColor::kBlue) continue;
@@ -96,7 +96,7 @@ TEST(MultiWalker, SingleWalkerMatchesEProcessSemantics) {
   UniformRule rule;
   MultiEProcess multi(g, {0}, rule);
   Rng rng(5);
-  ASSERT_TRUE(run_until_edge_cover(multi, rng, 1u << 24));
+  ASSERT_TRUE(run_until(multi, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(multi.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
   EXPECT_EQ(multi.steps(), multi.blue_steps() + multi.red_steps());
 }
@@ -115,7 +115,7 @@ TEST(MultiWalker, BlueStepsStillBoundedByM) {
   UniformRule rule;
   MultiEProcess multi(g, {0, 20, 40}, rule);
   Rng rng(7);
-  ASSERT_TRUE(run_until_edge_cover(multi, rng, 1u << 24));
+  ASSERT_TRUE(run_until(multi, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(multi.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
 }
 
@@ -145,7 +145,7 @@ TEST(MultiWalker, MoreWalkersNeverMuchWorse) {
     UniformRule rule;
     MultiEProcess multi(g, std::move(starts), rule);
     Rng rng(seed);
-    EXPECT_TRUE(run_until_vertex_cover(multi, rng, 1u << 26));
+    EXPECT_TRUE(run_until(multi, rng, VertexCovered{}, 1u << 26));
     return multi.cover().vertex_cover_step();
   };
   const auto c1 = cover_with({0}, 11);

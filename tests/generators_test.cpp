@@ -278,7 +278,7 @@ TEST(RandomRegularPairing, CoverTimeSamplesAgreeWithStegerWormaldKS) {
       const Graph g = pairing ? random_regular_pairing_connected(200, 3, rng)
                               : random_regular_connected(200, 3, rng);
       EProcessHandle walk(g, 0, std::make_unique<UniformRule>());
-      EXPECT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+      EXPECT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
       out.push_back(static_cast<double>(walk.cover().vertex_cover_step()));
     }
     return out;

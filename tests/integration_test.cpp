@@ -99,7 +99,7 @@ TEST(Integration, EdgeCoverSandwichOnRandomRegular) {
     UniformRule rule;
     EProcess ep(g, 0, rule);
     Rng wrng = rng.split();
-    ASSERT_TRUE(run_until_edge_cover(ep, wrng, 1u << 26));
+    ASSERT_TRUE(run_until(ep, wrng, EdgesCovered{}, 1u << 26));
     const double ce = static_cast<double>(ep.cover().edge_cover_step());
     EXPECT_GE(ce, static_cast<double>(g.num_edges()));
 
@@ -108,7 +108,7 @@ TEST(Integration, EdgeCoverSandwichOnRandomRegular) {
     for (int i = 0; i < 5; ++i) {
       SimpleRandomWalk srw(g, 0);
       Rng srng = rng.split();
-      ASSERT_TRUE(run_until_vertex_cover(srw, srng, 1u << 26));
+      ASSERT_TRUE(run_until(srw, srng, VertexCovered{}, 1u << 26));
       cv += static_cast<double>(srw.cover().vertex_cover_step());
     }
     cv /= 5;
@@ -126,10 +126,10 @@ TEST(Integration, HypercubeEdgeCoverImprovement) {
     Rng r1(50 + t), r2(60 + t);
     UniformRule rule;
     EProcess ep(g, 0, rule);
-    ASSERT_TRUE(run_until_edge_cover(ep, r1, 1ull << 30));
+    ASSERT_TRUE(run_until(ep, r1, EdgesCovered{}, 1ull << 30));
     ep_total += static_cast<double>(ep.cover().edge_cover_step());
     SimpleRandomWalk srw(g, 0);
-    ASSERT_TRUE(run_until_edge_cover(srw, r2, 1ull << 30));
+    ASSERT_TRUE(run_until(srw, r2, EdgesCovered{}, 1ull << 30));
     srw_total += static_cast<double>(srw.cover().edge_cover_step());
   }
   EXPECT_LT(ep_total * 1.5, srw_total);
@@ -145,7 +145,7 @@ TEST(Integration, LpsExpanderCoverIsLinear) {
     Rng rng(70 + t);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1ull << 28));
+    ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1ull << 28));
     total += static_cast<double>(walk.cover().vertex_cover_step());
   }
   const double mean = total / 3;
@@ -221,7 +221,7 @@ TEST(Integration, RuleIndependenceOfCoverOrder) {
   const auto run_with = [&](UnvisitedEdgeRule& rule, std::uint64_t seed) {
     Rng rng(seed);
     EProcess walk(g, 0, rule);
-    EXPECT_TRUE(run_until_vertex_cover(walk, rng, 1ull << 28));
+    EXPECT_TRUE(run_until(walk, rng, VertexCovered{}, 1ull << 28));
     return static_cast<double>(walk.cover().vertex_cover_step());
   };
   UniformRule uniform;

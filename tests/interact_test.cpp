@@ -122,7 +122,7 @@ TEST(CoalescingRW, SurvivorKeepsWalkingAndCovers) {
   const Graph g = complete_graph(64);
   CoalescingRW walk(g, spread_token_starts(g.num_vertices(), 4, 0));
   Rng rng(9);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, default_step_budget(g)));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, default_step_budget(g)));
   EXPECT_TRUE(walk.cover().all_vertices_covered());
 }
 

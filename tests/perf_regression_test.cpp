@@ -1,25 +1,27 @@
 // Stream-identity regression suite for the hot-path optimisations.
 //
 // The O(1) blue eviction (BluePartition::pos_of_slot_), the batched
-// step_many driving, and the persistent run_trials thread pool are all
-// required to be *bit-for-bit* invisible: same RNG draws, same
-// trajectories, same samples as the original per-step/per-scan/per-spawn
-// implementations. This suite pins that down two ways:
+// step_many driving, and the persistent scheduler the trial loop
+// (run_target_trials) runs on are all required to be *bit-for-bit*
+// invisible: same RNG draws, same trajectories, same samples as the
+// original per-step/per-scan/per-spawn implementations. This suite pins that down two ways:
 //
 //  1. Golden trajectory hashes. Every scenario below was run against the
 //     pre-optimisation implementation (linear-scan evict, unbatched driver,
-//     thread-per-call run_trials) and its FNV-1a trajectory hash recorded as
+//     thread-per-call trial loop) and its FNV-1a trajectory hash recorded as
 //     a constant. The optimised code must reproduce each hash exactly —
 //     including on multigraphs with self-loops and parallel edges, where
 //     eviction order subtleties live.
 //
 //  2. Internal consistency. step()-by-step vs step_many-chunked driving of
-//     two identically seeded processes must coincide, and run_trials must
-//     return identical samples for 1, 2, and 8 threads.
+//     two identically seeded processes must coincide, and the trial loop
+//     must return identical samples for 1, 2, and 8 threads.
 //
 // Compile with -DEWALK_GOLDEN_PRINT for a main() that prints the constants
 // instead of asserting them (how the numbers below were produced).
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -386,25 +388,33 @@ TEST(ThreadPoolIdentity, MeasureCoalescenceSamplesInvariantAcross1To8Threads) {
 }
 
 TEST(ThreadPoolIdentity, TaskExceptionPropagatesToCallerAndPoolSurvives) {
-  const auto failing = [](Rng&, std::uint32_t trial) -> double {
-    if (trial == 3) throw std::runtime_error("trial failed");
-    return 1.0;
+  const Graph g = cycle_graph(50);
+  const TrialTarget target(CoverTarget::kVertices);
+  std::atomic<int> built{0};
+  const TrialBuilder build = [&](Rng&) {
+    if (built++ == 3) throw std::runtime_error("trial failed");
+    return TrialSetup{nullptr, std::make_unique<SimpleRandomWalk>(g, 0)};
   };
-  EXPECT_THROW(run_trials(16, 8, 1, failing), std::runtime_error);
-  // The pool survives a failed run and serves later calls normally.
-  const auto ok = run_trials(8, 8, 1, [](Rng&, std::uint32_t) { return 2.0; });
-  EXPECT_EQ(ok, std::vector<double>(8, 2.0));
+  RunRequest req;
+  req.trials = 16;
+  req.threads = 8;
+  EXPECT_THROW(run_target_trials(req, target, build), std::runtime_error);
+  // The pool survives a failed run and serves later calls normally (the
+  // count is past 3, so no later build throws).
+  built = 4;
+  const auto ok = run_target_trials(req, target, build);
+  ASSERT_EQ(ok.size(), 16u);
+  for (const TrialOutcome& trial : ok) EXPECT_TRUE(trial.done);
 }
 
-TEST(ThreadPoolIdentity, RunTrialsOrderAndValuesStable) {
-  const auto fn = [](Rng& rng, std::uint32_t trial) {
-    return static_cast<double>(rng.uniform(1000) + 1000 * trial);
-  };
-  const auto serial = run_trials(32, 1, 99, fn);
-  const auto pooled = run_trials(32, 8, 99, fn);
-  EXPECT_EQ(serial, pooled);
-  // Re-running on the (already warm) pool must be just as deterministic.
-  EXPECT_EQ(pooled, run_trials(32, 8, 99, fn));
+TEST(ThreadPoolIdentity, ZeroTrialsReturnNoOutcomes) {
+  RunRequest req;
+  req.trials = 0;
+  req.threads = 4;
+  const auto out = run_target_trials(
+      req, TrialTarget(CoverTarget::kVertices),
+      [](Rng&) -> TrialSetup { throw std::logic_error("no trial to build"); });
+  EXPECT_TRUE(out.empty());
 }
 
 // ---- step_many chunking vs single stepping -------------------------------

@@ -91,7 +91,7 @@ TEST_P(EvenGraphEdgeCover, BlueStepsEqualEdges) {
   }();
   UniformRule rule;
   EProcess walk(g, static_cast<Vertex>(rng.uniform(g.num_vertices())), rule);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(walk.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
 }
 
@@ -106,7 +106,7 @@ TEST(FirstVisitTimes, RespectCoverStep) {
   const Graph g = random_regular_connected(200, 4, rng);
   UniformRule rule;
   EProcess walk(g, 0, rule);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
   std::uint64_t max_fv = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     const auto fv = walk.cover().first_visit_step(v);
@@ -144,7 +144,7 @@ TEST(Determinism, WholePipelineIsReproducible) {
     const Graph g = random_regular_connected(300, 4, rng);
     UniformRule rule;
     EProcess walk(g, 0, rule);
-    run_until_edge_cover(walk, rng, 1u << 26);
+    run_until(walk, rng, EdgesCovered{}, 1u << 26);
     return std::make_tuple(walk.steps(), walk.red_steps(),
                            walk.cover().vertex_cover_step(),
                            walk.cover().edge_cover_step());
@@ -159,7 +159,7 @@ TEST(CoverState, MinVisitCountTracksBlanket) {
   UniformRule rule;
   EProcess walk(g, 0, rule);
   EXPECT_EQ(walk.cover().min_visit_count(), 0u);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 22));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 22));
   EXPECT_GE(walk.cover().min_visit_count(), 1u);
 }
 

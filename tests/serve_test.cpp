@@ -22,6 +22,7 @@
 #include "engine/process.hpp"
 #include "engine/registry.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/generators.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
@@ -162,6 +163,54 @@ TEST(Protocol, StringEscapesRoundTrip) {
   const std::string quoted = json_quote("a\"b\\c\n\tA");
   const JsonValue back = parse_json(quoted);
   EXPECT_EQ(back.string, "a\"b\\c\n\tA");
+}
+
+TEST(Protocol, ResponseLinesArePinnedByteForByte) {
+  // The byte-level pin of the response format: field order, %.17g doubles
+  // and string escapes. The CI serve-smoke golden cannot pin these, because
+  // its client re-serializes every line with sorted keys.
+  RunResult result;
+  result.id = "r1";
+  result.ok = true;
+  result.target = RunTarget::kCoalescence;
+  result.graph = std::make_shared<const CachedGraph>(cycle_graph(4), true);
+  result.graph_cache_hit = true;
+  result.budget = 1000;
+  result.unfinished = 1;
+  result.samples = {0.1, 12};
+  result.stats = {.count = 2, .mean = 6.05, .stddev = 0.5, .std_error = 0.25,
+                  .min = 0.1, .max = 12, .median = 6.05};
+  result.meeting_samples = {3};
+  result.meeting_stats = {.count = 1, .mean = 3, .min = 3, .max = 3,
+                          .median = 3};
+  result.total_steps = 1012;
+  result.analysis = GraphAnalysis{.lambda2 = 0.5, .lambda_n = -1,
+                                  .gap = 0, .conductance_lower = 0.25,
+                                  .conductance_upper = 1, .girth = 4};
+  result.wall_seconds = 0.125;
+  EXPECT_EQ(serialize_run_result(result),
+            R"({"id":"r1","status":"ok","target":"coalescence",)"
+            R"("graph":{"vertices":4,"edges":4,"connected":true,"cache_hit":true},)"
+            R"("trials":2,"budget":1000,"unfinished":1,"total_steps":1012,)"
+            R"("samples":[0.10000000000000001,12],"stats":{"mean":6.0499999999999998,)"
+            R"("stddev":0.5,"std_error":0.25,"min":0.10000000000000001,"max":12,)"
+            R"("median":6.0499999999999998},"meeting_samples":[3],)"
+            R"("meeting_stats":{"mean":3,"stddev":0,"std_error":0,"min":3,"max":3,)"
+            R"("median":3},"analysis":{"lambda2":0.5,"lambda_n":-1,"gap":0,)"
+            R"("conductance_lower":0.25,"conductance_upper":1,"girth":4,)"
+            R"("cache_hit":false},"wall_seconds":0.125})");
+
+  const GraphStoreStats stats{.hits = 1, .misses = 2, .evictions = 3,
+                              .coalesced = 4, .analysis_hits = 5,
+                              .analysis_misses = 6, .entries = 7, .bytes = 8};
+  EXPECT_EQ(serialize_stats("s", stats, 9, 10),
+            R"({"id":"s","status":"stats","cache":{"hits":1,"misses":2,)"
+            R"("evictions":3,"coalesced":4,"analysis_hits":5,"analysis_misses":6,)"
+            R"("entries":7,"bytes":8},"inflight":9,"completed":10})");
+  EXPECT_EQ(serialize_queued("q", 42),
+            R"({"id":"q","status":"queued","ticket":42})");
+  EXPECT_EQ(serialize_error("e", "bad\x01\"line\"\n"),
+            R"({"id":"e","status":"error","error":"bad\u0001\"line\"\n"})");
 }
 
 // ---- GraphStore ------------------------------------------------------------

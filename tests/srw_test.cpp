@@ -53,7 +53,7 @@ TEST(Srw, CycleCoverTimeIsQuadratic) {
   double total = 0;
   for (int t = 0; t < kTrials; ++t) {
     SimpleRandomWalk walk(g, 0);
-    ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+    ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
     total += static_cast<double>(walk.cover().vertex_cover_step());
   }
   const double expected = n * (n - 1) / 2.0;
@@ -69,7 +69,7 @@ TEST(Srw, CompleteGraphCoverIsCouponCollector) {
   double total = 0;
   for (int t = 0; t < kTrials; ++t) {
     SimpleRandomWalk walk(g, 0);
-    ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 22));
+    ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 22));
     total += static_cast<double>(walk.cover().vertex_cover_step());
   }
   double expected = 0;
@@ -85,7 +85,7 @@ TEST(Srw, CoverStateBookkeeping) {
   EXPECT_EQ(walk.cover().vertices_covered(), 1u);
   EXPECT_TRUE(walk.cover().vertex_visited(0));
   EXPECT_FALSE(walk.cover().all_vertices_covered());
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 100000));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 100000));
   EXPECT_EQ(walk.cover().vertices_covered(), 4u);
   EXPECT_LE(walk.cover().vertex_cover_step(), walk.steps());
   EXPECT_NE(walk.cover().vertex_cover_step(), kNotCovered);
@@ -95,7 +95,7 @@ TEST(Srw, EdgeCoverOnSmallGraph) {
   const Graph g = petersen_graph();
   Rng rng(6);
   SimpleRandomWalk walk(g, 0);
-  ASSERT_TRUE(run_until_edge_cover(walk, rng, 1u << 22));
+  ASSERT_TRUE(run_until(walk, rng, EdgesCovered{}, 1u << 22));
   EXPECT_TRUE(walk.cover().all_edges_covered());
   EXPECT_GE(walk.cover().edge_cover_step(), g.num_edges());
 }
@@ -105,7 +105,7 @@ TEST(Srw, LazyWalkStillCovers) {
   const Graph g = complete_bipartite(3, 3);
   Rng rng(7);
   SimpleRandomWalk walk(g, 0, SrwOptions{.lazy = true});
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 22));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 22));
   EXPECT_TRUE(walk.cover().all_vertices_covered());
 }
 
@@ -128,7 +128,8 @@ TEST(Srw, RunUntilVisitCount) {
   const Graph g = complete_graph(8);
   Rng rng(9);
   SimpleRandomWalk walk(g, 0);
-  ASSERT_TRUE(run_until_visit_count(walk, rng, 3, 1u << 22));
+  ASSERT_TRUE(run_until(walk, rng, MinVisitCountAtLeast{3}, 1u << 22,
+                        visit_count_stride(g)));
   EXPECT_GE(walk.cover().min_visit_count(), 3u);
 }
 
@@ -187,7 +188,7 @@ TEST(Weighted, CoversGraph) {
   const Graph g = petersen_graph();
   Rng rng(13);
   WeightedRandomWalk walk(g, 0, std::vector<double>(g.num_edges(), 1.0));
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 22));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 22));
 }
 
 TEST(Weighted, RejectsBadWeights) {

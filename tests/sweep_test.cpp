@@ -16,6 +16,7 @@
 
 #include "engine/adapters.hpp"
 #include "graph/generators.hpp"
+#include "serve/protocol.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
 #include "walks/rules.hpp"
@@ -424,6 +425,31 @@ TEST(SweepReport, WritesSchemaConformantJsonAndCsv) {
   for (std::string line; std::getline(csv, line);)
     if (!line.empty()) ++rows;
   EXPECT_EQ(rows, 4u);  // 2 points x 2 series
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepReport, LabelsSurviveTheJsonRoundTrip) {
+  // A quote, a backslash and a newline must all come back from the written
+  // file; a control character must be escaped, not dropped.
+  const std::string label = "a\"b\\c\nd";
+  SweepResult result;
+  result.name = "label_round_trip";
+  result.points.emplace_back().label = label;
+
+  const std::string dir = "sweep_test_label_out";
+  std::ifstream json(write_sweep_json(result, dir));
+  std::stringstream buf;
+  buf << json.rdbuf();
+  const auto member = [](const JsonValue& object, const std::string& key) {
+    for (const auto& [name, value] : object.object)
+      if (name == key) return value;
+    ADD_FAILURE() << "missing member " << key;
+    return JsonValue{};
+  };
+  const JsonValue points = member(parse_json(buf.str()), "points");
+  ASSERT_EQ(points.array.size(), 1u);
+  EXPECT_EQ(member(points.array[0], "label").string, label);
 
   std::filesystem::remove_all(dir);
 }

@@ -32,7 +32,8 @@ TEST(Rotor, CoversWithinMDBound) {
     RotorRouter walk(g, 0);
     const std::uint64_t bound =
         4ull * g.num_edges() * (diameter(g) + 1) + 4 * g.num_edges() + 100;
-    EXPECT_TRUE(run_until_edge_cover(walk, bound)) << "m=" << g.num_edges();
+    EXPECT_TRUE(run_until(walk, EdgesCovered{}, bound))
+        << "m=" << g.num_edges();
     EXPECT_TRUE(walk.cover().all_vertices_covered());
   }
 }
@@ -69,14 +70,14 @@ TEST(Rwc, CoversGraph) {
   Rng rng(1);
   const Graph g = torus_2d(8, 8);
   RandomWalkWithChoice walk(g, 0, 2);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
 }
 
 TEST(Rwc, DegenerateD1IsPlainWalk) {
   Rng rng(2);
   const Graph g = cycle_graph(20);
   RandomWalkWithChoice walk(g, 0, 1);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
 }
 
 TEST(Rwc, RejectsZeroChoices) {
@@ -93,8 +94,8 @@ TEST(Rwc, ChoiceReducesCoverTimeOnTorus) {
   for (int t = 0; t < kTrials; ++t) {
     Rng r1(100 + t), r2(200 + t);
     RandomWalkWithChoice plain(g, 0, 1), choice(g, 0, 2);
-    EXPECT_TRUE(run_until_vertex_cover(plain, r1, 1u << 26));
-    EXPECT_TRUE(run_until_vertex_cover(choice, r2, 1u << 26));
+    EXPECT_TRUE(run_until(plain, r1, VertexCovered{}, 1u << 26));
+    EXPECT_TRUE(run_until(choice, r2, VertexCovered{}, 1u << 26));
     srw_total += static_cast<double>(plain.cover().vertex_cover_step());
     rwc_total += static_cast<double>(choice.cover().vertex_cover_step());
   }
@@ -107,7 +108,7 @@ TEST(VertexWalk, CoversGraph) {
   Rng rng(3);
   const Graph g = random_regular_connected(100, 4, rng);
   UnvisitedVertexWalk walk(g, 0);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 1u << 24));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
 }
 
 TEST(VertexWalk, PrefersUnvisitedNeighbors) {
@@ -116,7 +117,7 @@ TEST(VertexWalk, PrefersUnvisitedNeighbors) {
   const Graph g = star_graph(10);
   Rng rng(4);
   UnvisitedVertexWalk walk(g, 0);
-  ASSERT_TRUE(run_until_vertex_cover(walk, rng, 2 * 9 + 1));
+  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 2 * 9 + 1));
   EXPECT_LE(walk.cover().vertex_cover_step(), 2u * 9 - 1);
 }
 
@@ -129,8 +130,8 @@ TEST(VertexWalk, FasterThanSrwOnRegularGraphs) {
     Rng r1(300 + t), r2(400 + t);
     UnvisitedVertexWalk a(g, 0);
     RandomWalkWithChoice b(g, 0, 1);  // plain SRW semantics
-    EXPECT_TRUE(run_until_vertex_cover(a, r1, 1u << 26));
-    EXPECT_TRUE(run_until_vertex_cover(b, r2, 1u << 26));
+    EXPECT_TRUE(run_until(a, r1, VertexCovered{}, 1u << 26));
+    EXPECT_TRUE(run_until(b, r2, VertexCovered{}, 1u << 26));
     vw += static_cast<double>(a.cover().vertex_cover_step());
     srw += static_cast<double>(b.cover().vertex_cover_step());
   }
@@ -144,7 +145,7 @@ TEST(LocallyFair, LeastUsedFirstCoversEdges) {
                          lollipop(5, 4)}) {
     LocallyFairWalk walk(g, 0, FairnessCriterion::kLeastUsedFirst);
     const std::uint64_t bound = 8ull * g.num_edges() * (diameter(g) + 2) + 100;
-    EXPECT_TRUE(run_until_edge_cover(walk, bound));
+    EXPECT_TRUE(run_until(walk, EdgesCovered{}, bound));
   }
 }
 
@@ -172,7 +173,7 @@ TEST(LocallyFair, OldestFirstIsDeterministicAndCoversSmallGraphs) {
     ASSERT_EQ(a.current(), b.current());
   }
   LocallyFairWalk c(g, 0, FairnessCriterion::kOldestFirst);
-  EXPECT_TRUE(run_until_edge_cover(c, 100000));
+  EXPECT_TRUE(run_until(c, EdgesCovered{}, 100000));
 }
 
 TEST(LocallyFair, TraversalCountsMatchSteps) {
