@@ -13,9 +13,9 @@
 #include <memory>
 
 #include "bench/common.hpp"
-#include "engine/adapters.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
+#include "walks/multi_eprocess.hpp"
 #include "walks/rules.hpp"
 
 using namespace ewalk;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) try {
           std::vector<Vertex> starts(k);
           for (std::uint64_t i = 0; i < k; ++i)
             starts[i] = static_cast<Vertex>((i * g.num_vertices()) / k);
-          return std::make_unique<MultiEProcessHandle>(
+          return std::make_unique<MultiEProcess>(
               g, std::move(starts), std::make_unique<UniformRule>());
         },
         CoverTarget::kVertices});

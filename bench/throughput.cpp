@@ -4,10 +4,10 @@
 // (SRW, E-process under the uniform and round-robin rules, coalescing SRW
 // tokens, Herman's protocol) over the standard graph families (cycle,
 // random-regular, hypercube, LPS Ramanujan, complete) and reports raw
-// steps/sec for each (process, family) pair, driving every process through
-// the engine's chunked run_until exactly as registry/CLI runs do — so the
-// measured path is the path real experiments take (virtual dispatch
-// amortised per chunk, not per step).
+// steps/sec for each (process, family) pair, running every pair as a
+// bundle of one through run_trial_bundle (engine/bundle.hpp) with check
+// stride --chunk — the trial kernel every CLI, sweep and daemon trial runs
+// through, so the measured path is the path real experiments take.
 //
 // Output:
 //   * stdout table
@@ -25,7 +25,7 @@
 //   both, so old artifacts keep validating.)
 //
 // Flags: --quick (CI sizes), --steps N (override steps per pair),
-//        --seed S, --chunk K (driver check stride),
+//        --seed S, --chunk K (trial-kernel check stride),
 //        --bundle W1,W2,... (latency-tier bundle widths, default 1,4,8,16),
 //        --latency-n N / --latency-steps S (latency-tier size and per-walk
 //        budget), --latency-reps R (best-of-R per row, default 3).
@@ -55,7 +55,6 @@
 
 #include "bench/common.hpp"
 #include "engine/bundle.hpp"
-#include "engine/driver.hpp"
 #include "engine/params.hpp"
 #include "engine/registry.hpp"
 #include "graph/graph.hpp"
@@ -84,7 +83,7 @@ struct Result {
   std::string graph;
   Vertex n;
   EdgeId m;
-  std::uint32_t bundle = 1;  // interleave width (1 = plain chunked run_until)
+  std::uint32_t bundle = 1;  // interleave width (1 = a bundle of one)
   std::uint64_t steps;
   double seconds;
   double steps_per_sec;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "throughput: steps/sec per (process, family) pair",
-      "engine hot path — O(1) blue eviction + chunked virtual dispatch");
+      "engine hot path — O(1) blue eviction + the trial kernel");
 
   auto csv = bench::open_csv(
       "BENCH_throughput", {"process", "graph", "n", "m", "bundle", "steps",
@@ -195,10 +194,10 @@ int main(int argc, char** argv) {
       Rng rng(seed * 9176 + pair);
       auto walk =
           ProcessRegistry::instance().create(proc.process, g, proc.params, rng);
+      const BundleTrial trial{walk.get(), &rng, steps_per_pair, chunk};
       WallTimer timer;
-      run_until(
-          *walk, rng, [](const CoverState&) { return false; }, steps_per_pair,
-          chunk);
+      run_trial_bundle(std::span<const BundleTrial>(&trial, 1),
+                       [](const WalkProcess&) { return false; });
       const double secs = timer.seconds();
       const double rate = static_cast<double>(walk->steps()) / secs;
       record(Result{proc.key, fam.key, g.num_vertices(), g.num_edges(), 1,

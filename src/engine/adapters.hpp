@@ -1,20 +1,18 @@
-// Thin WalkProcess adapters for the edge-process family.
+// Thin WalkProcess adapter for the E-process.
 //
-// EProcess and MultiEProcess report the colour of each transition from
-// step(), so they cannot override WalkProcess::step(Rng&) directly (C++
-// forbids overloading on return type). These handles forward the interface
-// and additionally *own* the choice rule, which the underlying walks only
-// borrow — exactly what registry- and experiment-constructed processes
-// need: one value that keeps rule and walk alive together.
+// EProcess reports the colour of each transition from step(), so it cannot
+// override WalkProcess::step(Rng&) directly (C++ forbids overloading on
+// return type). The handle forwards the interface and additionally *owns*
+// the choice rule, which EProcess only borrows — exactly what registry- and
+// experiment-constructed processes need: one value that keeps rule and walk
+// alive together.
 #pragma once
 
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "engine/process.hpp"
 #include "walks/eprocess.hpp"
-#include "walks/multi_eprocess.hpp"
 
 namespace ewalk {
 
@@ -28,7 +26,6 @@ class EProcessHandle final : public WalkProcess {
       : rule_(std::move(rule)), walk_(g, start, *rule_, options) {}
 
   void step(Rng& rng) override { walk_.step(rng); }
-  void step_many(Rng& rng, std::uint64_t k) override { walk_.step_many(rng, k); }
   Vertex current() const override { return walk_.current(); }
   std::uint64_t steps() const override { return walk_.steps(); }
   const CoverState& cover() const override { return walk_.cover(); }
@@ -45,32 +42,6 @@ class EProcessHandle final : public WalkProcess {
  private:
   std::unique_ptr<UnvisitedEdgeRule> rule_;  // must outlive walk_
   EProcess walk_;
-};
-
-/// Owns a rule + MultiEProcess pair and exposes them as a WalkProcess.
-class MultiEProcessHandle final : public WalkProcess {
- public:
-  /// Takes ownership of `rule` and starts one walker per entry of `starts`.
-  MultiEProcessHandle(const Graph& g, std::vector<Vertex> starts,
-                      std::unique_ptr<UnvisitedEdgeRule> rule)
-      : rule_(std::move(rule)), walk_(g, std::move(starts), *rule_) {}
-
-  void step(Rng& rng) override { walk_.step(rng); }
-  void step_many(Rng& rng, std::uint64_t k) override { walk_.step_many(rng, k); }
-  Vertex current() const override { return walk_.current(); }
-  std::uint64_t steps() const override { return walk_.steps(); }
-  const CoverState& cover() const override { return walk_.cover(); }
-  const Graph& graph() const override { return walk_.graph(); }
-  std::string_view name() const override { return "multi-eprocess"; }
-
-  /// The underlying multi-walker process.
-  MultiEProcess& walk() { return walk_; }
-  /// Read-only view of the underlying multi-walker process.
-  const MultiEProcess& walk() const { return walk_; }
-
- private:
-  std::unique_ptr<UnvisitedEdgeRule> rule_;  // must outlive walk_
-  MultiEProcess walk_;
 };
 
 }  // namespace ewalk

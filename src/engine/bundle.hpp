@@ -28,12 +28,11 @@
 // width-1 run is a bundle of one, and the single-live loop in drive_bundle
 // steps it without per-round bookkeeping.
 //
-// Devirtualisation: bundles whose processes are all SimpleRandomWalk, all
-// EProcessHandle, or all MultiEProcessHandle (the hot cases — that is what
-// the covertime and sweep drivers build) run a typed loop whose step,
-// current and prefetch calls resolve statically (the classes are final);
-// mixed bundles fall back to one virtual dispatch per step, still gaining
-// the miss overlap.
+// Devirtualisation: bundles whose processes are all SimpleRandomWalk or all
+// EProcessHandle (the hot cases) run a typed loop whose step, current and
+// prefetch calls resolve statically (the classes are final); every other
+// bundle, multi-walker and token processes included, runs the generic loop
+// with one virtual dispatch per step, still gaining the miss overlap.
 #pragma once
 
 #include <algorithm>
@@ -125,8 +124,8 @@ void drive_bundle(std::vector<LiveTrial>& live,
 /// only from the trial's own rng — so stopping steps, trajectories, and rng
 /// states are bit-identical to sequential execution in any order. Returns
 /// one flag per trial (trial order): 1 iff the predicate held on exit.
-/// Homogeneous SRW / EProcessHandle / MultiEProcessHandle bundles take a
-/// devirtualised fast path; mixed bundles run the generic virtual loop.
+/// Homogeneous SRW / EProcessHandle bundles take a devirtualised fast path;
+/// all others run the generic virtual loop.
 template <typename Predicate>
 std::vector<std::uint8_t> run_trial_bundle(std::span<const BundleTrial> trials,
                                            const Predicate& predicate) {
@@ -137,7 +136,6 @@ std::vector<std::uint8_t> run_trial_bundle(std::span<const BundleTrial> trials,
 
   bool all_srw = !trials.empty();
   bool all_eprocess = !trials.empty();
-  bool all_multi = !trials.empty();
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const BundleTrial& trial = trials[i];
     // Entry check: run_until_process tests the predicate (then the budget)
@@ -156,8 +154,6 @@ std::vector<std::uint8_t> run_trial_bundle(std::span<const BundleTrial> trials,
     all_srw = all_srw && dynamic_cast<SimpleRandomWalk*>(trial.process) != nullptr;
     all_eprocess =
         all_eprocess && dynamic_cast<EProcessHandle*>(trial.process) != nullptr;
-    all_multi =
-        all_multi && dynamic_cast<MultiEProcessHandle*>(trial.process) != nullptr;
   }
 
   if (live.empty()) return finished;
@@ -172,12 +168,6 @@ std::vector<std::uint8_t> run_trial_bundle(std::span<const BundleTrial> trials,
     bundle_detail::drive_bundle(live, finished, predicate, [](LiveTrial& t) {
       EProcess& walk = static_cast<EProcessHandle*>(t.process)->walk();
       walk.step(*t.rng);  // concrete EProcess::step, non-virtual
-      walk.prefetch_hint(walk.current());
-    });
-  } else if (all_multi) {
-    bundle_detail::drive_bundle(live, finished, predicate, [](LiveTrial& t) {
-      MultiEProcess& walk = static_cast<MultiEProcessHandle*>(t.process)->walk();
-      walk.step(*t.rng);
       walk.prefetch_hint(walk.current());
     });
   } else {

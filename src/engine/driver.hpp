@@ -104,24 +104,21 @@ inline std::uint64_t visit_count_stride(const Graph& g) {
 /// or `max_steps` total transitions have been made (the step budget counts
 /// *all* steps of the process's lifetime, matching the legacy member
 /// loops). The predicate is evaluated every `check_stride` transitions
-/// (1 = every step); it sees the whole process, which is what the
-/// token-population predicates (CoalescedToOne, TokensAtMost, TokensHaveMet
-/// — engine/token_process.hpp) need. Each burst between predicate checks is
-/// driven as ONE step_many() call, so registry-constructed processes pay
-/// ~1 virtual dispatch per chunk instead of one per transition — with
-/// step counts and RNG streams identical to per-step driving, which
-/// step_many's contract guarantees. RNG discipline: exactly one transition
-/// per step of the budget, nothing drawn by the driver itself. Returns true
-/// iff the predicate holds on exit.
+/// (1 = every step; 0 is treated as 1) and at the budget; it sees the whole
+/// process, which is what the token-population predicates (CoalescedToOne,
+/// TokensAtMost, TokensHaveMet — engine/token_process.hpp) need. Each burst
+/// between predicate checks is a loop of step() calls. RNG discipline:
+/// exactly one transition per step of the budget, nothing drawn by the
+/// driver itself. Returns true iff the predicate holds on exit.
 template <typename Process, typename Predicate>
 bool run_until_process(Process& process, Rng& rng, Predicate predicate,
                        std::uint64_t max_steps, std::uint64_t check_stride = 1) {
+  const std::uint64_t stride = std::max<std::uint64_t>(1, check_stride);
   for (;;) {
     if (predicate(process)) return true;
     if (process.steps() >= max_steps) return false;
-    const std::uint64_t remaining = max_steps - process.steps();
-    const std::uint64_t burst = std::min(check_stride, remaining);
-    process.step_many(rng, burst);
+    const std::uint64_t burst = std::min(stride, max_steps - process.steps());
+    for (std::uint64_t i = 0; i < burst; ++i) process.step(rng);
   }
 }
 

@@ -67,12 +67,6 @@ class PcfProcess final : public WalkProcess {
     walk_.step(rng);
   }
 
-  /// `k` transitions, bit-identical to k step() calls (final class: the
-  /// inner calls devirtualise).
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
-
   /// Vertex the walker currently occupies.
   Vertex current() const override { return walk_.current(); }
   /// Walk transitions made so far.
@@ -130,11 +124,6 @@ class PcfCoalescingSrw final : public TokenProcess {
 
   /// Advances PCF time, then moves (or holds) the next alive token.
   void step(Rng& rng) override;
-
-  /// `k` transitions, bit-identical to k step() calls.
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   /// Position of the token about to move.
   Vertex current() const override { return tokens_.position(next_token_); }

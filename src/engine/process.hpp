@@ -8,10 +8,10 @@
 // runs any process to any termination predicate, and the registry
 // (engine/registry.hpp) constructs any process by name.
 //
-// Walk classes whose step signature already matches implement WalkProcess by
-// direct inheritance (SRW, rotor-router, V-process, RWC, locally-fair,
-// weighted); EProcess and MultiEProcess, whose step() returns the transition
-// colour, are wrapped by the thin adapters in engine/registry.hpp.
+// Walk classes implement WalkProcess by direct inheritance (SRW,
+// MultiEProcess, rotor-router, V-process, RWC, locally-fair, weighted);
+// EProcess, whose step() returns the transition colour, is wrapped by
+// EProcessHandle (engine/adapters.hpp).
 //
 // Deterministic processes (rotor-router, locally-fair) accept the Rng& and
 // ignore it, so one signature drives everything.
@@ -39,16 +39,6 @@ class WalkProcess {
 
   /// Performs one transition. Deterministic processes ignore `rng`.
   virtual void step(Rng& rng) = 0;
-
-  /// Performs `k` transitions as one call — required to be bit-identical to
-  /// k successive step() calls (same RNG draws, same trajectory). The
-  /// default loop still dispatches virtually per step; hot processes
-  /// override it with a tight loop in the final class, so chunked drivers
-  /// (engine/driver.hpp) pay ~1 virtual dispatch per chunk instead of one
-  /// per transition.
-  virtual void step_many(Rng& rng, std::uint64_t k) {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   /// Vertex the process occupies (for multi-walker processes: the walker
   /// about to move).

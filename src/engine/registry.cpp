@@ -14,6 +14,7 @@
 #include "interact/token_system.hpp"
 #include "walks/choice.hpp"
 #include "walks/locally_fair.hpp"
+#include "walks/multi_eprocess.hpp"
 #include "walks/rotor.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
@@ -83,7 +84,7 @@ void register_builtin_processes(ProcessRegistry& r) {
          {{"walkers", ParamType::kU32, "2", {1.0}, "walkers"}, kRule, kStart},
          [](const Graph& g, const ParamMap& p, Rng& rng) -> Made {
            // Walkers don't interact, so duplicate starts (k > n) are fine.
-           return std::make_unique<MultiEProcessHandle>(
+           return std::make_unique<MultiEProcess>(
                g,
                spread_token_starts(g.num_vertices(), get_u32(p, "walkers"),
                                    start_vertex(g, p), /*distinct=*/false),

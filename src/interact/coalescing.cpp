@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "walks/blue_choice.hpp"
+#include "walks/step_core.hpp"
 
 namespace ewalk {
 
@@ -16,10 +17,10 @@ CoalescingRW::CoalescingRW(const Graph& g, std::vector<Vertex> starts)
 void CoalescingRW::step(Rng& rng) {
   const TokenSystem::TokenId t = next_token_;
   ++steps_;
-  const Vertex v = tokens_.position(t);
-  const std::uint32_t d = g_->degree(v);
-  if (d == 0) throw std::logic_error("CoalescingRW: stuck at isolated vertex");
-  const Slot slot = g_->slot(v, static_cast<std::uint32_t>(rng.uniform(d)));
+  Slot slot;
+  if (srw_transition(*g_, tokens_.position(t), rng, &slot) ==
+      TransitionKind::kIsolated)
+    throw std::logic_error("CoalescingRW: stuck at isolated vertex");
   cover_.visit_edge(slot.edge, steps_);
   const TokenSystem::TokenId other = tokens_.move(t, slot.neighbor, steps_);
   cover_.visit_vertex(slot.neighbor, steps_);
@@ -41,26 +42,20 @@ CoalescingEWalk::CoalescingEWalk(const Graph& g, std::vector<Vertex> starts,
 void CoalescingEWalk::step(Rng& rng) {
   const TokenSystem::TokenId t = next_token_;
   ++steps_;
-  const Vertex v = tokens_.position(t);
-  Vertex to;
-  if (blue_.blue_count(v) > 0) {
-    const Slot chosen = choose_blue_slot(blue_, *g_, v, *rule_, uniform_rule_,
-                                         cover_, steps_, rng);
-    blue_.mark_edge_visited(*g_, chosen.edge);
-    cover_.visit_edge(chosen.edge, steps_);
-    to = chosen.neighbor;
+  StaticBlueIndex index{blue_, *g_, *rule_, uniform_rule_, cover_, steps_};
+  Slot slot;
+  const TransitionKind kind =
+      eprocess_transition(*g_, index, tokens_.position(t), rng, &slot);
+  if (kind == TransitionKind::kIsolated)
+    throw std::logic_error("CoalescingEWalk: stuck at isolated vertex");
+  // A red step's edges are all visited already: no visit_edge bookkeeping.
+  if (kind == TransitionKind::kBlue) {
     ++blue_steps_;
   } else {
-    const std::uint32_t d = g_->degree(v);
-    if (d == 0)
-      throw std::logic_error("CoalescingEWalk: stuck at isolated vertex");
-    // All incident edges are red here, so no visit_edge bookkeeping needed.
-    const Slot slot = g_->slot(v, static_cast<std::uint32_t>(rng.uniform(d)));
-    to = slot.neighbor;
     ++red_steps_;
   }
-  const TokenSystem::TokenId other = tokens_.move(t, to, steps_);
-  cover_.visit_vertex(to, steps_);
+  const TokenSystem::TokenId other = tokens_.move(t, slot.neighbor, steps_);
+  cover_.visit_vertex(slot.neighbor, steps_);
   if (other != TokenSystem::kNoToken) tokens_.kill(t, steps_);  // merge: mover dies
   next_token_ = tokens_.next_alive_after(t);
 }

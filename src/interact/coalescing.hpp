@@ -50,10 +50,6 @@ class CoalescingRW final : public TokenProcess {
   CoalescingRW(const Graph& g, std::vector<Vertex> starts);
 
   void step(Rng& rng) override;
-  /// Batched stepping (final class: the per-step calls devirtualise).
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   Vertex current() const override { return tokens_.position(next_token_); }
   std::uint64_t steps() const override { return steps_; }
@@ -89,10 +85,6 @@ class CoalescingEWalk final : public TokenProcess {
                   std::unique_ptr<UnvisitedEdgeRule> rule);
 
   void step(Rng& rng) override;
-  /// Batched stepping (final class: the per-step calls devirtualise).
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   Vertex current() const override { return tokens_.position(next_token_); }
   std::uint64_t steps() const override { return steps_; }

@@ -34,10 +34,6 @@ class HermanRing final : public TokenProcess {
   HermanRing(const Graph& g, std::vector<Vertex> starts);
 
   void step(Rng& rng) override;
-  /// Batched stepping (final class: the per-step calls devirtualise).
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   Vertex current() const override { return tokens_.position(next_token_); }
   std::uint64_t steps() const override { return steps_; }

@@ -1,13 +1,12 @@
 // Rule dispatch over a BluePartition: the one blue-step chooser shared by
-// EProcess, MultiEProcess, and CoalescingEWalk.
+// EProcess, MultiEProcess, and CoalescingEWalk, and the StaticBlueIndex
+// that plugs it into step_core.hpp's eprocess_transition.
 //
 // The dispatch is index-based and lazy: the rule's choose_index() returns a
 // position into the blue prefix and reads any candidate it cares about in
-// O(1) through the EProcessView — no candidate span is ever materialised
-// (legacy span-only rules are adapted by UnvisitedEdgeRule's default
-// choose_index(), which rebuilds the span at the old cost). Rules that
-// declare themselves uniform skip even the virtual dispatch: the chooser
-// samples a position directly with the identical rng draw
+// O(1) through the EProcessView — no candidate span is ever materialised.
+// Rules that declare themselves uniform skip even the virtual dispatch: the
+// chooser samples a position directly with the identical rng draw
 // (uniform(blue_count)) a uniform choose_index() would make, so both paths
 // produce the same walk bit-for-bit.
 #pragma once
@@ -41,5 +40,32 @@ inline Slot choose_blue_slot(const BluePartition& blue, const Graph& g,
     throw std::logic_error("UnvisitedEdgeRule returned out-of-range index");
   return blue.blue_slot(g, v, idx);
 }
+
+/// Adapts the static-path machinery (BluePartition + UnvisitedEdgeRule +
+/// CoverState) to the BlueIndexT seam of eprocess_transition
+/// (walks/step_core.hpp) for EProcess, MultiEProcess and CoalescingEWalk.
+/// take_blue performs choose -> mark -> visit_edge in that order, the order
+/// the golden hashes in perf_regression_test pin. Built per step: `steps`
+/// is the step being made.
+struct StaticBlueIndex {
+  BluePartition& blue;      ///< the walk's blue/red partition
+  const Graph& g;           ///< the graph walked on
+  UnvisitedEdgeRule& rule;  ///< the walk's choice rule
+  bool uniform_rule;        ///< rule.uniform_over_candidates(), hoisted
+  CoverState& cover;        ///< the walk's cover bookkeeping
+  std::uint64_t steps;      ///< step index recorded for the visited edge
+
+  /// Unvisited incident slots of v.
+  std::uint32_t blue_count(Vertex v) const { return blue.blue_count(v); }
+
+  /// Chooses a blue slot of v, marks its edge visited and records the visit.
+  Slot take_blue(Vertex v, Rng& rng) {
+    const Slot chosen =
+        choose_blue_slot(blue, g, v, rule, uniform_rule, cover, steps, rng);
+    blue.mark_edge_visited(g, chosen.edge);
+    cover.visit_edge(chosen.edge, steps);
+    return chosen;
+  }
+};
 
 }  // namespace ewalk

@@ -51,11 +51,6 @@ class DynamicSrw {
   /// One transition (lazy holds and isolated-vertex holds both count).
   void step(Rng& rng);
 
-  /// `k` transitions, bit-identical to k step() calls.
-  void step_many(Rng& rng, std::uint64_t k) {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
-
   /// Vertex the walk currently occupies.
   Vertex current() const { return current_; }
   /// Transitions made so far (moves + holds).
@@ -88,11 +83,6 @@ class DynamicEProcess {
 
   /// One transition: sync with the journal, then blue / red / hold.
   void step(Rng& rng);
-
-  /// `k` transitions, bit-identical to k step() calls.
-  void step_many(Rng& rng, std::uint64_t k) {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
 
   /// Vertex the walk currently occupies.
   Vertex current() const { return current_; }

@@ -6,33 +6,6 @@
 #include "walks/step_core.hpp"
 
 namespace ewalk {
-namespace {
-
-// Adapts the static-path machinery (BluePartition + UnvisitedEdgeRule +
-// CoverState) to the BlueIndexT seam of eprocess_transition. take_blue
-// performs choose -> mark -> visit_edge in the exact historical order, so
-// the instantiation is operation-for-operation identical to the pre-seam
-// step body (pinned by the golden hashes in perf_regression_test).
-struct StaticBlueIndex {
-  BluePartition& blue;
-  const Graph& g;
-  UnvisitedEdgeRule& rule;
-  bool uniform_rule;
-  CoverState& cover;
-  std::uint64_t steps;
-
-  std::uint32_t blue_count(Vertex v) const { return blue.blue_count(v); }
-
-  Slot take_blue(Vertex v, Rng& rng) {
-    const Slot chosen =
-        choose_blue_slot(blue, g, v, rule, uniform_rule, cover, steps, rng);
-    blue.mark_edge_visited(g, chosen.edge);
-    cover.visit_edge(chosen.edge, steps);
-    return chosen;
-  }
-};
-
-}  // namespace
 
 EProcess::EProcess(const Graph& g, Vertex start, UnvisitedEdgeRule& rule,
                    EProcessOptions options)
@@ -54,17 +27,11 @@ void EProcess::note_transition(StepColor color, Vertex from, Vertex to) {
   }
 }
 
-// step_many and step are out of line and cache-line aligned, so the
-// per-step code sits at the same offset in every build instead of wherever
-// the sizes of unrelated files push it. On Skylake-family cores (the JCC
-// erratum microcode fix) the step loop ran ~15% slower when its
-// compare-and-branch straddled a 32-byte boundary. The trial kernel
-// (engine/bundle.hpp) calls step directly.
-__attribute__((aligned(64))) void EProcess::step_many(Rng& rng,
-                                                      std::uint64_t k) {
-  for (std::uint64_t i = 0; i < k; ++i) step(rng);
-}
-
+// step is out of line and cache-line aligned, so the per-step code sits at
+// the same offset in every build instead of wherever the sizes of unrelated
+// files push it. On Skylake-family cores (the JCC erratum microcode fix) the
+// step loop ran ~15% slower when its compare-and-branch straddled a 32-byte
+// boundary. The trial kernel (engine/bundle.hpp) calls step directly.
 __attribute__((aligned(64))) StepColor EProcess::step(Rng& rng) {
   const Vertex v = current_;
   ++steps_;

@@ -147,10 +147,6 @@ class EProcess {
   /// run_until(walk, rng, VertexCovered{}, budget).
   StepColor step(Rng& rng);
 
-  /// Performs `k` transitions as one call; bit-identical to k step() calls.
-  /// The batched entry point chunked drivers and EProcessHandle use.
-  void step_many(Rng& rng, std::uint64_t k);
-
   /// Vertex the walk currently occupies.
   Vertex current() const { return current_; }
   /// Vertex the walk started at.

@@ -1,16 +1,20 @@
 #include "walks/multi_eprocess.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "walks/blue_choice.hpp"
+#include "walks/step_core.hpp"
 
 namespace ewalk {
 
 MultiEProcess::MultiEProcess(const Graph& g, std::vector<Vertex> starts,
-                             UnvisitedEdgeRule& rule)
-    : g_(&g), rule_(&rule), uniform_rule_(rule.uniform_over_candidates()),
+                             std::unique_ptr<UnvisitedEdgeRule> rule)
+    : g_(&g), rule_(std::move(rule)),
+      uniform_rule_(rule_ != nullptr && rule_->uniform_over_candidates()),
       positions_(std::move(starts)),
       cover_(g.num_vertices(), g.num_edges()), blue_(g) {
+  if (!rule_) throw std::invalid_argument("MultiEProcess: rule is required");
   if (positions_.empty())
     throw std::invalid_argument("MultiEProcess: need at least one walker");
   for (const Vertex v : positions_) {
@@ -20,32 +24,23 @@ MultiEProcess::MultiEProcess(const Graph& g, std::vector<Vertex> starts,
   for (const Vertex v : positions_) cover_.visit_vertex(v, 0);
 }
 
-StepColor MultiEProcess::step(Rng& rng) {
+void MultiEProcess::step(Rng& rng) {
   const std::uint32_t w = next_walker_;
   next_walker_ = (next_walker_ + 1) % num_walkers();
-  const Vertex v = positions_[w];
   ++steps_;
-  StepColor color;
-  Vertex to;
-  if (blue_.blue_count(v) > 0) {
-    const Slot chosen = choose_blue_slot(blue_, *g_, v, *rule_, uniform_rule_,
-                                         cover_, steps_, rng);
-    blue_.mark_edge_visited(*g_, chosen.edge);
-    cover_.visit_edge(chosen.edge, steps_);
-    to = chosen.neighbor;
-    color = StepColor::kBlue;
+  StaticBlueIndex index{blue_, *g_, *rule_, uniform_rule_, cover_, steps_};
+  Slot slot;
+  const TransitionKind kind =
+      eprocess_transition(*g_, index, positions_[w], rng, &slot);
+  if (kind == TransitionKind::kIsolated)
+    throw std::logic_error("MultiEProcess: stuck at isolated vertex");
+  if (kind == TransitionKind::kBlue) {
     ++blue_steps_;
   } else {
-    const std::uint32_t d = g_->degree(v);
-    if (d == 0) throw std::logic_error("MultiEProcess: stuck at isolated vertex");
-    const Slot slot = g_->slot(v, static_cast<std::uint32_t>(rng.uniform(d)));
-    to = slot.neighbor;
-    color = StepColor::kRed;
     ++red_steps_;
   }
-  positions_[w] = to;
-  cover_.visit_vertex(to, steps_);
-  return color;
+  positions_[w] = slot.neighbor;
+  cover_.visit_vertex(slot.neighbor, steps_);
 }
 
 }  // namespace ewalk

@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "engine/process.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 #include "walks/blue_partition.hpp"
@@ -23,44 +25,32 @@
 
 namespace ewalk {
 
-class MultiEProcess {
+class MultiEProcess final : public WalkProcess {
  public:
   /// `starts` gives one start vertex per walker (k = starts.size() >= 1).
-  /// The rule is shared across walkers and must outlive the process.
-  MultiEProcess(const Graph& g, std::vector<Vertex> starts, UnvisitedEdgeRule& rule);
+  /// The rule is owned and shared across walkers.
+  MultiEProcess(const Graph& g, std::vector<Vertex> starts,
+                std::unique_ptr<UnvisitedEdgeRule> rule);
 
-  /// Advances the next walker (round-robin). Returns its transition colour.
-  /// Drive to a termination condition with the engine driver
-  /// (engine/driver.hpp).
-  StepColor step(Rng& rng);
-
-  /// Performs `k` transitions as one call; bit-identical to k step() calls.
-  void step_many(Rng& rng, std::uint64_t k) {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
+  /// Advances the next walker (round-robin). Drive to a termination
+  /// condition with the engine driver (engine/driver.hpp).
+  void step(Rng& rng) override;
 
   std::uint32_t num_walkers() const { return static_cast<std::uint32_t>(positions_.size()); }
   Vertex position(std::uint32_t walker) const { return positions_[walker]; }
   /// Position of the walker about to move (the engine's notion of "current").
-  Vertex current() const { return positions_[next_walker_]; }
-  const Graph& graph() const { return *g_; }
-  std::uint64_t steps() const { return steps_; }
+  Vertex current() const override { return positions_[next_walker_]; }
+  const Graph& graph() const override { return *g_; }
+  std::uint64_t steps() const override { return steps_; }
+  const CoverState& cover() const override { return cover_; }
+  std::string_view name() const override { return "multi-eprocess"; }
   std::uint64_t blue_steps() const { return blue_steps_; }
   std::uint64_t red_steps() const { return red_steps_; }
-  const CoverState& cover() const { return cover_; }
   std::uint32_t blue_degree(Vertex v) const { return blue_.blue_count(v); }
-
-  /// Hints the hardware to pull everything the next system step will touch
-  /// into cache: the CSR row and blue-partition state of `v` (normally
-  /// current(), the walker about to move). See EProcess::prefetch_hint.
-  void prefetch_hint(Vertex v) const noexcept {
-    g_->prefetch_hint(v);
-    blue_.prefetch_hint(*g_, v);
-  }
 
  private:
   const Graph* g_;
-  UnvisitedEdgeRule* rule_;
+  std::unique_ptr<UnvisitedEdgeRule> rule_;
   bool uniform_rule_;  // rule_->uniform_over_candidates(), hoisted once
   std::vector<Vertex> positions_;
   std::uint32_t next_walker_ = 0;

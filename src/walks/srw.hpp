@@ -27,12 +27,6 @@ class SimpleRandomWalk final : public WalkProcess {
   /// termination condition with the engine driver (engine/driver.hpp).
   void step(Rng& rng) override;
 
-  /// Tight batched loop: the class is final, so the per-step calls
-  /// devirtualise and chunked drivers pay one virtual dispatch per chunk.
-  void step_many(Rng& rng, std::uint64_t k) override {
-    for (std::uint64_t i = 0; i < k; ++i) step(rng);
-  }
-
   Vertex current() const override { return current_; }
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }

@@ -1,11 +1,14 @@
-// Backend-generic transition cores shared by the static and dynamic walks.
+// Backend-generic transition cores shared by every SRW-style and
+// edge-process walk: SimpleRandomWalk, EProcess, MultiEProcess,
+// CoalescingRW, CoalescingEWalk and the dynamic walks.
 //
 // `Graph` (immutable CSR) and `DynamicGraphView` (evolving adjacency) expose
 // the same degree/slot shape, so the SRW and E-process transition logic is
 // written once here as templates over the backend instead of forking the
-// step loops. The static walks instantiate these with `Graph` and keep their
-// exact historical rng-draw order (pinned by the golden trajectory hashes in
-// perf_regression_test); the dynamic walks instantiate them with
+// step loops. The static walks instantiate these with `Graph` (the
+// edge-processes through StaticBlueIndex, walks/blue_choice.hpp) and keep
+// their exact historical rng-draw order (pinned by the golden trajectory
+// hashes in perf_regression_test); the dynamic walks instantiate them with
 // `DynamicGraphView` and translate the "isolated vertex" outcome into a
 // counted hold instead of an exception, since an evolving graph legitimately
 // strands a walker between edge arrivals.

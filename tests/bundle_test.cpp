@@ -1,8 +1,8 @@
 // Tests for the interleaved trial bundles (engine/bundle.hpp): bundled
 // execution must be bit-identical to sequential run_until_process per
 // trial — same stopping steps, same trajectories, same rng states — for
-// every fast path (SRW, E-process, multi E-process), for mixed/generic
-// bundles, and through the covertime driver across bundle widths and
+// both fast paths (SRW, E-process), for the generic loop (multi E-process,
+// mixed bundles), and through the covertime driver across bundle widths and
 // thread counts. Also pins the retirement semantics run_until_process
 // defines: predicate before budget, entry checks before the first step.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "covertime/experiment.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
+#include "walks/multi_eprocess.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
 
@@ -129,7 +130,7 @@ Factory eprocess_factory() {
 
 Factory multi_factory() {
   return [](const Graph& g, Rng&) {
-    return std::make_unique<MultiEProcessHandle>(
+    return std::make_unique<MultiEProcess>(
         g, std::vector<Vertex>{0, 1, 2}, std::make_unique<UniformRule>());
   };
 }

@@ -264,7 +264,7 @@ TEST(DynamicWalks, SrwHoldsAtIsolatedVertexWithoutConsumingRng) {
   DynamicSrw walk(view, 0);
   Rng rng(5);
   const Rng untouched = rng;  // holds must not consume draws
-  walk.step_many(rng, 10);
+  for (int i = 0; i < 10; ++i) walk.step(rng);
   EXPECT_EQ(walk.current(), 0u);
   EXPECT_EQ(walk.steps(), 10u);
   EXPECT_EQ(walk.holds(), 10u);

@@ -106,6 +106,19 @@ TEST(EngineDriver, BudgetExhaustionReturnsFalseWithoutOverrun) {
   EXPECT_EQ(w.steps(), 10u);
 }
 
+TEST(EngineDriver, ZeroCheckStrideActsAsOne) {
+  const Graph g = cycle_graph(64);
+  SimpleRandomWalk a(g, 0);
+  Rng ra(13);
+  ASSERT_TRUE(run_until(a, ra, VertexCovered{}, 1u << 22, 1));
+
+  SimpleRandomWalk b(g, 0);
+  Rng rb(13);
+  ASSERT_TRUE(run_until(b, rb, VertexCovered{}, 1u << 22, 0));
+  EXPECT_EQ(a.cover().vertex_cover_step(), b.cover().vertex_cover_step());
+  EXPECT_EQ(a.steps(), b.steps());
+}
+
 TEST(EngineDriver, PredicatesCompose) {
   const Graph g = cycle_graph(32);
   // all_of(vertex, edge) on a cycle == edge cover (edges finish last or

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "covertime/timeseries.hpp"
 #include "engine/driver.hpp"
@@ -93,8 +94,7 @@ TEST(Evenize, ObservationTenHoldsOnEvenizedOddGraph) {
 TEST(MultiWalker, SingleWalkerMatchesEProcessSemantics) {
   Rng grng(4);
   const Graph g = random_regular_connected(80, 4, grng);
-  UniformRule rule;
-  MultiEProcess multi(g, {0}, rule);
+  MultiEProcess multi(g, {0}, std::make_unique<UniformRule>());
   Rng rng(5);
   ASSERT_TRUE(run_until(multi, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(multi.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
@@ -103,8 +103,7 @@ TEST(MultiWalker, SingleWalkerMatchesEProcessSemantics) {
 
 TEST(MultiWalker, AllWalkersStartCovered) {
   const Graph g = cycle_graph(20);
-  UniformRule rule;
-  MultiEProcess multi(g, {0, 5, 10}, rule);
+  MultiEProcess multi(g, {0, 5, 10}, std::make_unique<UniformRule>());
   EXPECT_EQ(multi.cover().vertices_covered(), 3u);
   EXPECT_EQ(multi.num_walkers(), 3u);
 }
@@ -112,8 +111,7 @@ TEST(MultiWalker, AllWalkersStartCovered) {
 TEST(MultiWalker, BlueStepsStillBoundedByM) {
   Rng grng(6);
   const Graph g = random_regular_connected(60, 4, grng);
-  UniformRule rule;
-  MultiEProcess multi(g, {0, 20, 40}, rule);
+  MultiEProcess multi(g, {0, 20, 40}, std::make_unique<UniformRule>());
   Rng rng(7);
   ASSERT_TRUE(run_until(multi, rng, EdgesCovered{}, 1u << 24));
   EXPECT_EQ(multi.blue_steps(), static_cast<std::uint64_t>(g.num_edges()));
@@ -122,8 +120,7 @@ TEST(MultiWalker, BlueStepsStillBoundedByM) {
 TEST(MultiWalker, BlueDegreeConsistency) {
   Rng grng(8);
   const Graph g = random_regular_connected(40, 4, grng);
-  UniformRule rule;
-  MultiEProcess multi(g, {0, 10}, rule);
+  MultiEProcess multi(g, {0, 10}, std::make_unique<UniformRule>());
   Rng rng(9);
   for (int burst = 0; burst < 20 && !multi.cover().all_edges_covered(); ++burst) {
     for (int i = 0; i < 37 && !multi.cover().all_edges_covered(); ++i) multi.step(rng);
@@ -142,8 +139,7 @@ TEST(MultiWalker, MoreWalkersNeverMuchWorse) {
   Rng grng(10);
   const Graph g = random_regular_connected(600, 4, grng);
   const auto cover_with = [&](std::vector<Vertex> starts, std::uint64_t seed) {
-    UniformRule rule;
-    MultiEProcess multi(g, std::move(starts), rule);
+    MultiEProcess multi(g, std::move(starts), std::make_unique<UniformRule>());
     Rng rng(seed);
     EXPECT_TRUE(run_until(multi, rng, VertexCovered{}, 1u << 26));
     return multi.cover().vertex_cover_step();
@@ -155,9 +151,11 @@ TEST(MultiWalker, MoreWalkersNeverMuchWorse) {
 
 TEST(MultiWalker, RejectsBadConfig) {
   const Graph g = cycle_graph(5);
-  UniformRule rule;
-  EXPECT_THROW(MultiEProcess(g, {}, rule), std::invalid_argument);
-  EXPECT_THROW(MultiEProcess(g, {9}, rule), std::invalid_argument);
+  EXPECT_THROW(MultiEProcess(g, {}, std::make_unique<UniformRule>()),
+               std::invalid_argument);
+  EXPECT_THROW(MultiEProcess(g, {9}, std::make_unique<UniformRule>()),
+               std::invalid_argument);
+  EXPECT_THROW(MultiEProcess(g, {0}, nullptr), std::invalid_argument);
 }
 
 // ---- Coverage time-series ------------------------------------------------------

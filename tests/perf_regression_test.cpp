@@ -1,10 +1,10 @@
 // Stream-identity regression suite for the hot-path optimisations.
 //
-// The O(1) blue eviction (BluePartition::pos_of_slot_), the batched
-// step_many driving, and the persistent scheduler the trial loop
-// (run_target_trials) runs on are all required to be *bit-for-bit*
-// invisible: same RNG draws, same trajectories, same samples as the
-// original per-step/per-scan/per-spawn implementations. This suite pins that down two ways:
+// The O(1) blue eviction (BluePartition::pos_of_slot_), the driver's check
+// stride, and the persistent scheduler the trial loop (run_target_trials)
+// runs on are all required to be *bit-for-bit* invisible: same RNG draws,
+// same trajectories, same samples as the original per-step/per-scan/
+// per-spawn implementations. This suite pins that down two ways:
 //
 //  1. Golden trajectory hashes. Every scenario below was run against the
 //     pre-optimisation implementation (linear-scan evict, unbatched driver,
@@ -13,9 +13,9 @@
 //     including on multigraphs with self-loops and parallel edges, where
 //     eviction order subtleties live.
 //
-//  2. Internal consistency. step()-by-step vs step_many-chunked driving of
-//     two identically seeded processes must coincide, and the trial loop
-//     must return identical samples for 1, 2, and 8 threads.
+//  2. Internal consistency. Driving two identically seeded processes with
+//     check stride 1 and 4096 must reach cover at the same step, and the
+//     trial loop must return identical samples for 1, 2, and 8 threads.
 //
 // Compile with -DEWALK_GOLDEN_PRINT for a main() that prints the constants
 // instead of asserting them (how the numbers below were produced).
@@ -97,8 +97,7 @@ std::uint64_t eprocess_trajectory(const std::string& rule_name,
 std::uint64_t multi_eprocess_trajectory(std::uint64_t steps) {
   const Graph g = messy_multigraph();
   Rng rng(777);
-  auto rule = make_rule("roundrobin", g, rng);
-  MultiEProcess walk(g, {0, 15, 30, 45}, *rule);
+  MultiEProcess walk(g, {0, 15, 30, 45}, make_rule("roundrobin", g, rng));
   Hasher h;
   for (std::uint64_t i = 0; i < steps; ++i) {
     walk.step(rng);
@@ -196,8 +195,9 @@ std::uint64_t herman_run() {
   return h.h;
 }
 
-// Registry + chunked run_until (the CLI path): E-process driven to vertex
-// cover in visit_count_stride chunks through the WalkProcess interface.
+// Registry + strided run_until: E-process driven to vertex cover through
+// the WalkProcess interface, its predicate checked every
+// visit_count_stride steps.
 std::uint64_t registry_chunked_cover() {
   const Graph g = messy_multigraph();
   Rng rng(5150);
@@ -417,45 +417,17 @@ TEST(ThreadPoolIdentity, ZeroTrialsReturnNoOutcomes) {
   EXPECT_TRUE(out.empty());
 }
 
-// ---- step_many chunking vs single stepping -------------------------------
+// ---- Driver check stride ------------------------------------------------
 
-TEST(StepManyIdentity, EProcessStepManyMatchesSingleStepping) {
-  const Graph g = messy_multigraph();
-  Rng rng_a(5), rng_b(5);
-  auto rule_a = make_rule("roundrobin", g, rng_a);
-  auto rule_b = make_rule("roundrobin", g, rng_b);
-  EProcess a(g, 0, *rule_a);
-  EProcess b(g, 0, *rule_b);
-  for (int i = 0; i < 500; ++i) a.step(rng_a);
-  b.step_many(rng_b, 500);
-  EXPECT_EQ(a.current(), b.current());
-  EXPECT_EQ(a.steps(), b.steps());
-  EXPECT_EQ(a.blue_steps(), b.blue_steps());
-  EXPECT_EQ(rng_a(), rng_b());  // streams advanced identically
-}
-
-TEST(StepManyIdentity, TokenProcessStepManyMatchesSingleStepping) {
-  const Graph g = hypercube(6);
-  Rng rng_a(6), rng_b(6);
-  CoalescingRW a(g, spread_token_starts(g.num_vertices(), 8, 0));
-  CoalescingRW b(g, spread_token_starts(g.num_vertices(), 8, 0));
-  for (int i = 0; i < 2000; ++i) a.step(rng_a);
-  b.step_many(rng_b, 2000);
-  EXPECT_EQ(a.current(), b.current());
-  EXPECT_EQ(a.tokens_remaining(), b.tokens_remaining());
-  EXPECT_EQ(a.first_meeting_step(), b.first_meeting_step());
-  EXPECT_EQ(rng_a(), rng_b());
-}
-
-TEST(StepManyIdentity, ChunkedDriverMatchesUnchunkedDriver) {
+TEST(DriverStride, ChunkedDriverMatchesUnchunkedDriver) {
   const Graph g = messy_multigraph();
   Rng rng_a(7), rng_b(7);
   auto a = ProcessRegistry::instance().create("srw", g, {}, rng_a);
   auto b = ProcessRegistry::instance().create("srw", g, {}, rng_b);
   const bool done_a = run_until(*a, rng_a, VertexCovered{}, 500'000, 1);
-  // A big stride drives b in step_many chunks. The trajectory is
-  // rng-driven identically (the driver draws nothing), so the covered step
-  // must coincide; only where b *stops* may overshoot to its chunk
+  // A big stride checks b's predicate only every 4096 steps. The trajectory
+  // is rng-driven identically (the driver draws nothing), so the covered
+  // step must coincide; only where b *stops* may overshoot to its chunk
   // boundary.
   const bool done_b = run_until(*b, rng_b, VertexCovered{}, 500'000, 4096);
   EXPECT_EQ(done_a, done_b);

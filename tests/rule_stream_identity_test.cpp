@@ -21,7 +21,9 @@
 //   * the complete graph K_1000 (dense: the span the old path copied was
 //     ~10^3 slots — exactly where the lazy path pays off),
 //   * a self-loop/parallel-edge multigraph (eviction-order subtleties).
-// MultiEProcess and CoalescingEWalk are covered through the same chooser.
+// MultiEProcess and CoalescingEWalk are covered through the same chooser,
+// and with one walker they must replay EProcess step for step; a one-token
+// CoalescingRW must replay SimpleRandomWalk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,6 +40,7 @@
 #include "walks/eprocess.hpp"
 #include "walks/multi_eprocess.hpp"
 #include "walks/rules.hpp"
+#include "walks/srw.hpp"
 
 namespace ewalk {
 namespace {
@@ -282,6 +285,32 @@ TEST_P(RuleStreamIdentity, IndexPathMatchesRecordedSpanPath) {
   EXPECT_EQ(rng_new(), rng_old());  // streams advanced identically
 }
 
+// MultiEProcess and CoalescingEWalk step through the same transition core
+// as EProcess (step_core.hpp + StaticBlueIndex), so with one walker or
+// token each must replay EProcess exactly: positions, blue steps and the
+// rng stream.
+TEST_P(RuleStreamIdentity, SingleWalkerProcessesMatchEProcess) {
+  const auto& [rule_name, graph_kind] = GetParam();
+  const Graph g = make_graph(graph_kind);
+  const auto rule = make_pair_for(rule_name, g).current;
+  Rng rng_single(4242), rng_multi(4242), rng_token(4242);
+  EProcess single(g, 0, *rule);
+  MultiEProcess multi(g, {0}, make_pair_for(rule_name, g).current);
+  CoalescingEWalk token(g, {0}, make_pair_for(rule_name, g).current);
+  for (int i = 0; i < 4000; ++i) {
+    single.step(rng_single);
+    multi.step(rng_multi);
+    token.step(rng_token);
+    ASSERT_EQ(multi.current(), single.current()) << "step " << i;
+    ASSERT_EQ(token.current(), single.current()) << "step " << i;
+  }
+  EXPECT_EQ(multi.blue_steps(), single.blue_steps());
+  EXPECT_EQ(token.blue_steps(), single.blue_steps());
+  const std::uint64_t next = rng_single();
+  EXPECT_EQ(rng_multi(), next);
+  EXPECT_EQ(rng_token(), next);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRegistryRules, RuleStreamIdentity,
     ::testing::Combine(::testing::ValuesIn(rule_names()),
@@ -299,10 +328,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RuleStreamIdentityMulti, MultiEProcessIndexPathMatchesSpanPath) {
   const Graph g = make_graph(GraphKind::kMessyMultigraph);
   Rng rng_new(31), rng_old(31);
-  RoundRobinRule rule_new(g.num_vertices());
-  LegacyRoundRobin rule_old(g.num_vertices());
-  MultiEProcess walk_new(g, {0, 20, 40}, rule_new);
-  MultiEProcess walk_old(g, {0, 20, 40}, rule_old);
+  MultiEProcess walk_new(g, {0, 20, 40},
+                         std::make_unique<RoundRobinRule>(g.num_vertices()));
+  MultiEProcess walk_old(g, {0, 20, 40},
+                         std::make_unique<LegacyRoundRobin>(g.num_vertices()));
   for (int i = 0; i < 4000; ++i) {
     walk_new.step(rng_new);
     walk_old.step(rng_old);
@@ -329,6 +358,22 @@ TEST(RuleStreamIdentityMulti, CoalescingEWalkIndexPathMatchesSpanPath) {
   EXPECT_EQ(walk_new.blue_steps(), walk_old.blue_steps());
   EXPECT_EQ(walk_new.first_meeting_step(), walk_old.first_meeting_step());
   EXPECT_EQ(rng_new(), rng_old());
+}
+
+// CoalescingRW steps through srw_transition like SimpleRandomWalk, so one
+// token must replay the SRW: positions, covered edges and the rng stream.
+TEST(RuleStreamIdentityMulti, OneTokenCoalescingRwMatchesSrw) {
+  const Graph g = make_graph(GraphKind::kMessyMultigraph);
+  Rng rng_srw(61), rng_token(61);
+  SimpleRandomWalk srw(g, 0);
+  CoalescingRW token(g, {0});
+  for (int i = 0; i < 4000; ++i) {
+    srw.step(rng_srw);
+    token.step(rng_token);
+    ASSERT_EQ(token.current(), srw.current()) << "step " << i;
+  }
+  EXPECT_EQ(token.cover().edges_covered(), srw.cover().edges_covered());
+  EXPECT_EQ(rng_token(), rng_srw());
 }
 
 // (The pre-removal RuleContract tests — partition-less views throwing and
