@@ -1,6 +1,6 @@
 // Stream-identity regression suite for the hot-path optimisations.
 //
-// The O(1) blue eviction (BluePartition::pos_of_slot_), the driver's check
+// The O(1) blue eviction (BluePartition::pos_of_slot_), run_until's check
 // stride, and the persistent scheduler the trial loop (run_target_trials)
 // runs on are all required to be *bit-for-bit* invisible: same RNG draws,
 // same trajectories, same samples as the original per-step/per-scan/
@@ -417,7 +417,7 @@ TEST(ThreadPoolIdentity, ZeroTrialsReturnNoOutcomes) {
   EXPECT_TRUE(out.empty());
 }
 
-// ---- Driver check stride ------------------------------------------------
+// ---- run_until check stride ---------------------------------------------
 
 TEST(DriverStride, ChunkedDriverMatchesUnchunkedDriver) {
   const Graph g = messy_multigraph();
@@ -426,7 +426,7 @@ TEST(DriverStride, ChunkedDriverMatchesUnchunkedDriver) {
   auto b = ProcessRegistry::instance().create("srw", g, {}, rng_b);
   const bool done_a = run_until(*a, rng_a, VertexCovered{}, 500'000, 1);
   // A big stride checks b's predicate only every 4096 steps. The trajectory
-  // is rng-driven identically (the driver draws nothing), so the covered
+  // is rng-driven identically (run_until draws nothing), so the covered
   // step must coincide; only where b *stops* may overshoot to its chunk
   // boundary.
   const bool done_b = run_until(*b, rng_b, VertexCovered{}, 500'000, 4096);
