@@ -28,6 +28,7 @@
 #include "covertime/experiment.hpp"
 #include "engine/adapters.hpp"
 #include "engine/driver.hpp"
+#include "engine/pcf_process.hpp"
 #include "engine/registry.hpp"
 #include "engine/token_process.hpp"
 #include "graph/generators.hpp"
@@ -122,6 +123,59 @@ std::uint64_t coalescing_ewalk_trajectory(std::uint64_t steps) {
   }
   h.mix(walk.blue_steps());
   h.mix(walk.first_meeting_step());
+  return h.h;
+}
+
+// The four token processes, each from 8 spread tokens (Herman: 5 on a
+// 61-cycle) for `steps` steps: per-step current() and tokens_remaining(),
+// then the cover counts, the meeting and coalescence steps, steps(), PCF's
+// holds() and the next rng draw. Pins the token bookkeeping they share.
+std::uint64_t token_processes_trajectory(std::uint64_t steps) {
+  const Graph g = messy_multigraph();
+  const Graph ring = cycle_graph(61);
+  Hasher h;
+  const auto run = [&](TokenProcess& p, Rng& rng) {
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      p.step(rng);
+      h.mix(p.current());
+      h.mix(p.tokens_remaining());
+    }
+    h.mix(p.initial_tokens());
+    h.mix(p.cover().vertices_covered());
+    h.mix(p.cover().edges_covered());
+    h.mix(p.cover().vertex_cover_step());
+    h.mix(p.first_meeting_step());
+    h.mix(p.coalescence_step());
+    h.mix(p.steps());
+  };
+  {
+    Rng rng(2101);
+    CoalescingRW p(g, spread_token_starts(g.num_vertices(), 8, 0));
+    run(p, rng);
+    h.mix(rng.next_u64());
+  }
+  {
+    Rng rng(2102);
+    auto rule = make_rule("roundrobin", g, rng);
+    CoalescingEWalk p(g, spread_token_starts(g.num_vertices(), 8, 0),
+                      std::move(rule));
+    run(p, rng);
+    h.mix(rng.next_u64());
+  }
+  {
+    Rng rng(2103);
+    HermanRing p(ring, spread_token_starts(ring.num_vertices(), 5, 0));
+    run(p, rng);
+    h.mix(rng.next_u64());
+  }
+  {
+    Rng rng(2104);
+    PcfCoalescingSrw p(g, spread_token_starts(g.num_vertices(), 8, 0),
+                       /*alpha=*/0.5, /*time_per_step=*/1.0 / 60, rng);
+    run(p, rng);
+    h.mix(p.holds());
+    h.mix(rng.next_u64());
+  }
   return h.h;
 }
 
@@ -271,6 +325,8 @@ constexpr std::uint64_t kGoldenMeasureCoalescence = 0x585855EE7023B846ULL;
 // storage: the allocator must change no sample.
 constexpr std::uint64_t kGoldenLargeEProcessCover = 0xC70D62065207C99FULL;
 constexpr std::uint64_t kGoldenLargeSrw = 0x7049C85430AF0013ULL;
+// Recorded before the four token classes' state moved into TokenProcess.
+constexpr std::uint64_t kGoldenTokenProcesses = 0x31C4488CA9A9FEABULL;
 
 constexpr std::uint64_t kTrajectorySteps = 6000;
 
@@ -307,6 +363,8 @@ int main() {
               (unsigned long long)large_eprocess_cover());
   std::printf("kGoldenLargeSrw            0x%016llXULL\n",
               (unsigned long long)large_srw_trajectory());
+  std::printf("kGoldenTokenProcesses      0x%016llXULL\n",
+              (unsigned long long)token_processes_trajectory(kTrajectorySteps));
   return 0;
 }
 
@@ -339,6 +397,10 @@ TEST(StreamIdentity, MultiEProcessOnMultigraphMatchesGolden) {
 TEST(StreamIdentity, CoalescingEWalkOnMultigraphMatchesGolden) {
   EXPECT_EQ(coalescing_ewalk_trajectory(kTrajectorySteps),
             kGoldenCoalescingEWalk);
+}
+
+TEST(StreamIdentity, TokenProcessesMatchGolden) {
+  EXPECT_EQ(token_processes_trajectory(kTrajectorySteps), kGoldenTokenProcesses);
 }
 
 TEST(StreamIdentity, SrwOnMultigraphMatchesGolden) {
