@@ -44,7 +44,6 @@ class StarveFreshVerticesRule final : public UnvisitedEdgeRule {
     }
     return best;
   }
-  const char* name() const override { return "starve-fresh"; }
 
  private:
   static std::uint32_t score(const EProcessView& view, const Slot& s) {

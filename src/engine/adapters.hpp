@@ -30,7 +30,6 @@ class EProcessHandle final : public WalkProcess {
   std::uint64_t steps() const override { return walk_.steps(); }
   const CoverState& cover() const override { return walk_.cover(); }
   const Graph& graph() const override { return walk_.graph(); }
-  std::string_view name() const override { return "eprocess"; }
 
   /// The underlying walk, for colour/phase-aware callers.
   EProcess& walk() { return walk_; }

@@ -5,33 +5,27 @@ namespace ewalk {
 PcfCoalescingSrw::PcfCoalescingSrw(const Graph& base,
                                    std::vector<Vertex> starts, double alpha,
                                    double time_per_step, Rng& schedule_rng)
-    : base_(&base), dyn_(base.num_vertices()),
+    : TokenProcess(base, starts, /*cover_edges=*/1), dyn_(base.num_vertices()),
       schedule_(base, alpha, schedule_rng), view_(dyn_),
-      tokens_(base.num_vertices(), starts),
-      cover_(base.num_vertices(), /*m=*/1), time_per_step_(time_per_step) {
+      time_per_step_(time_per_step) {
   if (!(time_per_step > 0.0))
     throw std::invalid_argument("PcfCoalescingSrw: time_per_step must be > 0");
-  for (const Vertex v : starts) cover_.visit_vertex(v, 0);
 }
 
 void PcfCoalescingSrw::step(Rng& rng) {
   time_ += time_per_step_;
   schedule_.advance_to(time_, dyn_);
-  const TokenSystem::TokenId t = next_token_;
-  ++steps_;
+  const TokenSystem::TokenId t = begin_turn();
   const Vertex v = tokens_.position(t);
   Slot slot;
   if (srw_transition(view_, v, rng, &slot) == TransitionKind::kIsolated) {
     // Stranded until an edge arrives: a counted hold, no rng consumed.
     ++holds_;
     cover_.visit_vertex(v, steps_);
-    next_token_ = tokens_.next_alive_after(t);
-    return;
+  } else {
+    land_and_merge(t, slot.neighbor);
   }
-  const TokenSystem::TokenId other = tokens_.move(t, slot.neighbor, steps_);
-  cover_.visit_vertex(slot.neighbor, steps_);
-  if (other != TokenSystem::kNoToken) tokens_.kill(t, steps_);  // merge
-  next_token_ = tokens_.next_alive_after(t);
+  end_turn(t);
 }
 
 }  // namespace ewalk

@@ -1,7 +1,10 @@
 // Engine-level processes on PCF-evolving graphs.
 //
-// These wrap a DynamicGraph + PcfSchedule + dynamic walk into the standard
-// WalkProcess / TokenProcess interfaces, so the whole existing harness —
+// These pair a DynamicGraph + PcfSchedule with a walker: PcfProcess wraps
+// a dynamic walk as a WalkProcess, and PcfCoalescingSrw is a TokenProcess
+// whose tokens step on the DynamicGraph (its cover's edge side is a 1-edge
+// sentinel, since the walked edges are not the base graph's ids). So the
+// whole existing harness —
 // registry construction, run_until drivers, measure_cover /
 // measure_coalescence, run_sweep, the ewalk CLI — drives walks on evolving
 // graphs with zero special cases. The "graph" the process reports through
@@ -21,14 +24,12 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "engine/process.hpp"
 #include "engine/token_process.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/pcf.hpp"
-#include "interact/token_system.hpp"
 #include "util/rng.hpp"
 #include "walks/dynamic_walks.hpp"
 #include "walks/step_core.hpp"
@@ -75,17 +76,6 @@ class PcfProcess final : public WalkProcess {
   const CoverState& cover() const override { return walk_.cover(); }
   /// The BASE graph (potential-edge set), not the evolving one.
   const Graph& graph() const override { return *base_; }
-  /// "pcf-srw" or "pcf-eprocess", matching the registry names.
-  std::string_view name() const override;
-
-  /// The walker (for blue/red/hold statistics).
-  const WalkT& walk() const { return walk_; }
-  /// The evolving open subgraph the walker steps on.
-  const DynamicGraph& dynamic_graph() const { return dyn_; }
-  /// The PCF event schedule (opened/blocked counters, alpha).
-  const PcfSchedule& schedule() const { return schedule_; }
-  /// Current PCF time (steps() * time_per_step).
-  double time() const { return time_; }
 
  private:
   const Graph* base_;
@@ -95,17 +85,6 @@ class PcfProcess final : public WalkProcess {
   double time_per_step_;
   double time_ = 0.0;
 };
-
-/// \cond INTERNAL (explicit specialisations of PcfProcess::name)
-template <>
-inline std::string_view PcfProcess<DynamicSrw>::name() const {
-  return "pcf-srw";
-}
-template <>
-inline std::string_view PcfProcess<DynamicEProcess>::name() const {
-  return "pcf-eprocess";
-}
-/// \endcond
 
 /// K coalescing SRW tokens on a PCF-evolving graph: the dynamic analogue of
 /// CoalescingRW. One step() advances PCF time, then moves one token
@@ -125,53 +104,14 @@ class PcfCoalescingSrw final : public TokenProcess {
   /// Advances PCF time, then moves (or holds) the next alive token.
   void step(Rng& rng) override;
 
-  /// Position of the token about to move.
-  Vertex current() const override { return tokens_.position(next_token_); }
-  /// Token moves (including holds) made so far.
-  std::uint64_t steps() const override { return steps_; }
-  /// Vertex-cover bookkeeping (edge side is the 1-edge sentinel).
-  const CoverState& cover() const override { return cover_; }
-  /// The BASE graph (potential-edge set), not the evolving one.
-  const Graph& graph() const override { return *base_; }
-  /// Registry name "pcf-coalescing-srw".
-  std::string_view name() const override { return "pcf-coalescing-srw"; }
-
-  /// Tokens still alive.
-  std::uint32_t tokens_remaining() const override {
-    return tokens_.tokens_alive();
-  }
-  /// Tokens the process started with.
-  std::uint32_t initial_tokens() const override {
-    return tokens_.initial_tokens();
-  }
-  /// Step of the first token-token collision; kNotCovered until then.
-  std::uint64_t first_meeting_step() const override {
-    return tokens_.first_meeting_step();
-  }
-  /// Step at which the population reached 1; kNotCovered until then.
-  std::uint64_t coalescence_step() const override {
-    return tokens_.coalescence_step();
-  }
-
-  /// The shared token-population state.
-  const TokenSystem& tokens() const { return tokens_; }
-  /// The evolving open subgraph the tokens step on.
-  const DynamicGraph& dynamic_graph() const { return dyn_; }
-  /// The PCF event schedule (opened/blocked counters, alpha).
-  const PcfSchedule& schedule() const { return schedule_; }
   /// Steps spent holding at isolated vertices (across all tokens).
   std::uint64_t holds() const { return holds_; }
 
  private:
-  const Graph* base_;
   DynamicGraph dyn_;
   PcfSchedule schedule_;
   DynamicGraphView view_;
-  TokenSystem tokens_;
-  TokenSystem::TokenId next_token_ = 0;  // about to move; always alive
-  std::uint64_t steps_ = 0;
   std::uint64_t holds_ = 0;
-  CoverState cover_;
   double time_per_step_;
   double time_ = 0.0;
 };

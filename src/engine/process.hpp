@@ -11,14 +11,15 @@
 // Walk classes implement WalkProcess by direct inheritance (SRW,
 // MultiEProcess, rotor-router, V-process, RWC, locally-fair, weighted);
 // EProcess, whose step() returns the transition colour, is wrapped by
-// EProcessHandle (engine/adapters.hpp).
+// EProcessHandle (engine/adapters.hpp). The interacting-token processes
+// derive from TokenProcess (engine/token_process.hpp), which implements
+// the accessors once over the token state it owns.
 //
 // Deterministic processes (rotor-router, locally-fair) accept the Rng& and
 // ignore it, so one signature drives everything.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
@@ -52,9 +53,6 @@ class WalkProcess {
 
   /// The graph the process runs on.
   virtual const Graph& graph() const = 0;
-
-  /// Registry-style process name (e.g. "eprocess", "srw").
-  virtual std::string_view name() const = 0;
 };
 
 }  // namespace ewalk

@@ -96,8 +96,6 @@ void register_builtin_processes(ProcessRegistry& r) {
            return std::make_unique<SimpleRandomWalk>(
                g, start_vertex(g, p), SrwOptions{.lazy = p.get_bool("lazy")});
          }});
-  r.add({"lazy-srw", "lazy simple random walk (hold w.p. 1/2)", {kStart},
-         from_start<SimpleRandomWalk>(SrwOptions{.lazy = true})});
   r.add({"rotor", "rotor-router (Propp machine), deterministic", {kStart},
          from_start<RotorRouter>()});
   r.add({"vertexwalk", "unvisited-vertex-preferring walk (the V-process)",

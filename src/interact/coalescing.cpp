@@ -10,38 +10,31 @@ namespace ewalk {
 // ---- CoalescingRW ----------------------------------------------------------
 
 CoalescingRW::CoalescingRW(const Graph& g, std::vector<Vertex> starts)
-    : g_(&g), tokens_(g, starts), cover_(g.num_vertices(), g.num_edges()) {
-  for (const Vertex v : starts) cover_.visit_vertex(v, 0);
-}
+    : TokenProcess(g, starts, g.num_edges()) {}
 
 void CoalescingRW::step(Rng& rng) {
-  const TokenSystem::TokenId t = next_token_;
-  ++steps_;
+  const TokenSystem::TokenId t = begin_turn();
   Slot slot;
   if (srw_transition(*g_, tokens_.position(t), rng, &slot) ==
       TransitionKind::kIsolated)
     throw std::logic_error("CoalescingRW: stuck at isolated vertex");
   cover_.visit_edge(slot.edge, steps_);
-  const TokenSystem::TokenId other = tokens_.move(t, slot.neighbor, steps_);
-  cover_.visit_vertex(slot.neighbor, steps_);
-  if (other != TokenSystem::kNoToken) tokens_.kill(t, steps_);  // merge: mover dies
-  next_token_ = tokens_.next_alive_after(t);
+  land_and_merge(t, slot.neighbor);
+  end_turn(t);
 }
 
 // ---- CoalescingEWalk -------------------------------------------------------
 
 CoalescingEWalk::CoalescingEWalk(const Graph& g, std::vector<Vertex> starts,
                                  std::unique_ptr<UnvisitedEdgeRule> rule)
-    : g_(&g), rule_(std::move(rule)),
+    : TokenProcess(g, starts, g.num_edges()), rule_(std::move(rule)),
       uniform_rule_(rule_ != nullptr && rule_->uniform_over_candidates()),
-      tokens_(g, starts), cover_(g.num_vertices(), g.num_edges()), blue_(g) {
+      blue_(g) {
   if (!rule_) throw std::invalid_argument("CoalescingEWalk: rule is required");
-  for (const Vertex v : starts) cover_.visit_vertex(v, 0);
 }
 
 void CoalescingEWalk::step(Rng& rng) {
-  const TokenSystem::TokenId t = next_token_;
-  ++steps_;
+  const TokenSystem::TokenId t = begin_turn();
   StaticBlueIndex index{blue_, *g_, *rule_, uniform_rule_, cover_, steps_};
   Slot slot;
   const TransitionKind kind =
@@ -54,10 +47,8 @@ void CoalescingEWalk::step(Rng& rng) {
   } else {
     ++red_steps_;
   }
-  const TokenSystem::TokenId other = tokens_.move(t, slot.neighbor, steps_);
-  cover_.visit_vertex(slot.neighbor, steps_);
-  if (other != TokenSystem::kNoToken) tokens_.kill(t, steps_);  // merge: mover dies
-  next_token_ = tokens_.next_alive_after(t);
+  land_and_merge(t, slot.neighbor);
+  end_turn(t);
 }
 
 }  // namespace ewalk

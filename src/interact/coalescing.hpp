@@ -9,7 +9,7 @@
 // on good expanders it is O(n polylog n) system steps — O(polylog n)
 // parallel rounds.
 //
-// Two variants share the TokenSystem state:
+// Two variants share the token state TokenProcess owns:
 //   * CoalescingRW    — each token is an independent SRW; the baseline the
 //                       meeting-time literature speaks about.
 //   * CoalescingEWalk — tokens step by the paper's unvisited-edge-preference
@@ -35,10 +35,8 @@
 
 #include "engine/token_process.hpp"
 #include "graph/graph.hpp"
-#include "interact/token_system.hpp"
 #include "util/rng.hpp"
 #include "walks/blue_partition.hpp"
-#include "walks/cover_state.hpp"
 #include "walks/eprocess.hpp"
 
 namespace ewalk {
@@ -50,30 +48,6 @@ class CoalescingRW final : public TokenProcess {
   CoalescingRW(const Graph& g, std::vector<Vertex> starts);
 
   void step(Rng& rng) override;
-
-  Vertex current() const override { return tokens_.position(next_token_); }
-  std::uint64_t steps() const override { return steps_; }
-  const CoverState& cover() const override { return cover_; }
-  const Graph& graph() const override { return *g_; }
-  std::string_view name() const override { return "coalescing-srw"; }
-
-  std::uint32_t tokens_remaining() const override { return tokens_.tokens_alive(); }
-  std::uint32_t initial_tokens() const override { return tokens_.initial_tokens(); }
-  std::uint64_t first_meeting_step() const override {
-    return tokens_.first_meeting_step();
-  }
-  std::uint64_t coalescence_step() const override {
-    return tokens_.coalescence_step();
-  }
-
-  const TokenSystem& tokens() const { return tokens_; }
-
- private:
-  const Graph* g_;
-  TokenSystem tokens_;
-  TokenSystem::TokenId next_token_ = 0;  // about to move; always alive
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
 };
 
 /// k unvisited-edge-preferring tokens over one shared edge colouring,
@@ -86,37 +60,14 @@ class CoalescingEWalk final : public TokenProcess {
 
   void step(Rng& rng) override;
 
-  Vertex current() const override { return tokens_.position(next_token_); }
-  std::uint64_t steps() const override { return steps_; }
-  const CoverState& cover() const override { return cover_; }
-  const Graph& graph() const override { return *g_; }
-  std::string_view name() const override { return "coalescing-ewalk"; }
-
-  std::uint32_t tokens_remaining() const override { return tokens_.tokens_alive(); }
-  std::uint32_t initial_tokens() const override { return tokens_.initial_tokens(); }
-  std::uint64_t first_meeting_step() const override {
-    return tokens_.first_meeting_step();
-  }
-  std::uint64_t coalescence_step() const override {
-    return tokens_.coalescence_step();
-  }
-
-  const TokenSystem& tokens() const { return tokens_; }
-  const UnvisitedEdgeRule& rule() const { return *rule_; }
   std::uint64_t blue_steps() const { return blue_steps_; }
   std::uint64_t red_steps() const { return red_steps_; }
-  std::uint32_t blue_degree(Vertex v) const { return blue_.blue_count(v); }
 
  private:
-  const Graph* g_;
   std::unique_ptr<UnvisitedEdgeRule> rule_;
   bool uniform_rule_;  // rule_->uniform_over_candidates(), hoisted once
-  TokenSystem tokens_;
-  TokenSystem::TokenId next_token_ = 0;
-  std::uint64_t steps_ = 0;
   std::uint64_t blue_steps_ = 0;
   std::uint64_t red_steps_ = 0;
-  CoverState cover_;
   BluePartition blue_;  // shared colouring, as EProcess/MultiEProcess keep it
 };
 

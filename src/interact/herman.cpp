@@ -51,28 +51,24 @@ RingOrientation derive_ring(const Graph& g) {
 }  // namespace
 
 HermanRing::HermanRing(const Graph& g, std::vector<Vertex> starts)
-    : g_(&g), tokens_(g, starts), cover_(g.num_vertices(), g.num_edges()) {
+    : TokenProcess(g, starts, g.num_edges()) {
   if (starts.size() % 2 == 0)
     throw std::invalid_argument(
         "HermanRing: token count must be odd (parity invariant)");
   RingOrientation ring = derive_ring(g);
   successor_ = std::move(ring.successor);
   successor_edge_ = std::move(ring.successor_edge);
-  for (const Vertex v : starts) cover_.visit_vertex(v, 0);
 }
 
 void HermanRing::step(Rng& rng) {
-  const TokenSystem::TokenId t = next_token_;
-  ++steps_;
+  const TokenSystem::TokenId t = begin_turn();
   const Vertex v = tokens_.position(t);
   if (rng.bernoulli(0.5)) {
     // Token keeps its place this turn.
     cover_.visit_vertex(v, steps_);
   } else {
-    const Vertex to = successor_[v];
     cover_.visit_edge(successor_edge_[v], steps_);
-    const TokenSystem::TokenId other = tokens_.move(t, to, steps_);
-    cover_.visit_vertex(to, steps_);
+    const TokenSystem::TokenId other = land(t, successor_[v]);
     if (other != TokenSystem::kNoToken) {
       // Pairwise annihilation: mover first, then the occupant.
       tokens_.kill(t, steps_);
@@ -80,7 +76,7 @@ void HermanRing::step(Rng& rng) {
       ++annihilations_;
     }
   }
-  next_token_ = tokens_.next_alive_after(t);
+  end_turn(t);
 }
 
 }  // namespace ewalk

@@ -20,9 +20,7 @@
 
 #include "engine/token_process.hpp"
 #include "graph/graph.hpp"
-#include "interact/token_system.hpp"
 #include "util/rng.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
@@ -35,36 +33,15 @@ class HermanRing final : public TokenProcess {
 
   void step(Rng& rng) override;
 
-  Vertex current() const override { return tokens_.position(next_token_); }
-  std::uint64_t steps() const override { return steps_; }
-  const CoverState& cover() const override { return cover_; }
-  const Graph& graph() const override { return *g_; }
-  std::string_view name() const override { return "herman"; }
-
-  std::uint32_t tokens_remaining() const override { return tokens_.tokens_alive(); }
-  std::uint32_t initial_tokens() const override { return tokens_.initial_tokens(); }
-  std::uint64_t first_meeting_step() const override {
-    return tokens_.first_meeting_step();
-  }
-  std::uint64_t coalescence_step() const override {
-    return tokens_.coalescence_step();
-  }
-
-  const TokenSystem& tokens() const { return tokens_; }
   /// Clockwise successor of v in the derived ring orientation.
   Vertex successor(Vertex v) const { return successor_[v]; }
   /// Annihilation events so far (each removes two tokens).
   std::uint64_t annihilations() const { return annihilations_; }
 
  private:
-  const Graph* g_;
   std::vector<Vertex> successor_;
   std::vector<EdgeId> successor_edge_;
-  TokenSystem tokens_;
-  TokenSystem::TokenId next_token_ = 0;
-  std::uint64_t steps_ = 0;
   std::uint64_t annihilations_ = 0;
-  CoverState cover_;
 };
 
 }  // namespace ewalk

@@ -4,9 +4,6 @@
 
 namespace ewalk {
 
-TokenSystem::TokenSystem(const Graph& g, const std::vector<Vertex>& starts)
-    : TokenSystem(g.num_vertices(), starts) {}
-
 TokenSystem::TokenSystem(Vertex n, const std::vector<Vertex>& starts)
     : positions_(starts),
       alive_(starts.size(), 1),

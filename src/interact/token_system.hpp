@@ -7,14 +7,15 @@
 // coalescence step, merge event count).
 //
 // The system is policy-free: move() reports the collision and the process
-// decides what a collision means — CoalescingRW/CoalescingEWalk merge the
-// mover into the occupant (one token dies), HermanRing annihilates both.
-// Either way the population only shrinks, which is what the token-population
-// predicates (engine/token_process.hpp) terminate on.
+// decides what a collision means — CoalescingRW, CoalescingEWalk and
+// PcfCoalescingSrw merge the mover into the occupant (one token dies),
+// HermanRing annihilates both. Either way the population only shrinks,
+// which is what the token-population predicates (engine/token_process.hpp)
+// terminate on. TokenProcess owns one TokenSystem per process.
 //
 // Invariant maintained throughout: at most one alive token occupies any
 // vertex. Processes that resolve every collision as soon as move() reports
-// it (all three in src/interact/) keep this automatically.
+// it (all four TokenProcess subclasses) keep this automatically.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,10 @@ class TokenSystem {
   using TokenId = std::uint32_t;
   static constexpr TokenId kNoToken = static_cast<TokenId>(-1);
 
-  /// Places tokens 0..starts.size()-1 on their start vertices. Start
-  /// vertices must be distinct (one token per vertex is the invariant) and
-  /// in range. At least one token is required.
-  TokenSystem(const Graph& g, const std::vector<Vertex>& starts);
-
-  /// Same, on a bare vertex set {0, ..., n-1}: the token state only needs
-  /// the vertex count, so dynamic-graph processes (whose edge set evolves)
-  /// construct it without a CSR.
+  /// Places tokens 0..starts.size()-1 on their start vertices in the
+  /// vertex set {0, ..., n-1}. Start vertices must be distinct (one token
+  /// per vertex is the invariant) and in range. At least one token is
+  /// required.
   TokenSystem(Vertex n, const std::vector<Vertex>& starts);
 
   std::uint32_t initial_tokens() const { return initial_tokens_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -155,7 +156,11 @@ std::optional<Executor::Taken> Executor::take_from(WorkerQueue& queue,
   std::lock_guard<std::mutex> lock(queue.mutex);
   // Scan the whole queue, not just one end: a waiter's subtree task can
   // sit behind an ineligible task at the front, and an admission-blocked
-  // task must never block an eligible one behind it.
+  // task must never block an eligible one of another root behind it. A
+  // root that refused admission is skipped for the rest of the scan, so a
+  // slot that opens mid-scan cannot admit its later task ahead of the
+  // refused one: each root's tasks enter in queue order.
+  std::vector<const TaskScope*> refused;
   const std::size_t size = queue.tasks.size();
   for (std::size_t k = 0; k < size; ++k) {
     const std::size_t i = newest_first ? size - 1 - k : k;
@@ -165,7 +170,12 @@ std::optional<Executor::Taken> Executor::take_from(WorkerQueue& queue,
     TaskScope* root = candidate.scope->root_;
     bool entered = false;
     if (!this_thread_in_root(root)) {
-      if (!root->try_enter()) continue;
+      if (std::find(refused.begin(), refused.end(), root) != refused.end())
+        continue;
+      if (!root->try_enter()) {
+        refused.push_back(root);
+        continue;
+      }
       entered = true;
     }
     Taken taken{std::move(candidate), entered};

@@ -24,7 +24,6 @@ class RandomWalkWithChoice final : public WalkProcess {
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override { return "rwc"; }
 
  private:
   const Graph* g_;

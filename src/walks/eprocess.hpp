@@ -102,9 +102,6 @@ class UnvisitedEdgeRule {
   virtual std::uint32_t choose_index(const EProcessView& view, Vertex at,
                                      std::uint32_t blue_count, Rng& rng) = 0;
 
-  /// Human-readable rule name for bench output.
-  virtual const char* name() const = 0;
-
   /// True iff choose_index() is exactly one uniform draw over the candidates
   /// (rng.uniform(blue_count)) with no other state. Walks use this to skip
   /// the virtual dispatch entirely: they sample the position directly,

@@ -32,9 +32,6 @@ class LocallyFairWalk final : public WalkProcess {
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override {
-    return criterion_ == FairnessCriterion::kLeastUsedFirst ? "leastused" : "oldest";
-  }
 
   /// Traversal count per edge (for long-run fairness checks).
   const std::vector<std::uint64_t>& edge_traversals() const { return traversals_; }

@@ -43,7 +43,6 @@ class MultiEProcess final : public WalkProcess {
   const Graph& graph() const override { return *g_; }
   std::uint64_t steps() const override { return steps_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override { return "multi-eprocess"; }
   std::uint64_t blue_steps() const { return blue_steps_; }
   std::uint64_t red_steps() const { return red_steps_; }
   std::uint32_t blue_degree(Vertex v) const { return blue_.blue_count(v); }

@@ -29,7 +29,6 @@ class RotorRouter final : public WalkProcess {
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override { return "rotor"; }
 
  private:
   const Graph* g_;

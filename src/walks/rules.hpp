@@ -37,7 +37,6 @@ class UniformRule final : public UnvisitedEdgeRule {
                              std::uint32_t blue_count, Rng& rng) override {
     return static_cast<std::uint32_t>(rng.uniform(blue_count));
   }
-  const char* name() const override { return "uniform"; }
   bool uniform_over_candidates() const override { return true; }
 };
 
@@ -48,7 +47,6 @@ class FirstSlotRule final : public UnvisitedEdgeRule {
                              Rng&) override {
     return 0;
   }
-  const char* name() const override { return "first-slot"; }
 };
 
 /// Deterministic: always the blue slot at the last position. O(1).
@@ -58,7 +56,6 @@ class LastSlotRule final : public UnvisitedEdgeRule {
                              std::uint32_t blue_count, Rng&) override {
     return blue_count - 1;
   }
-  const char* name() const override { return "last-slot"; }
 };
 
 /// Deterministic per-vertex rotating pointer over whatever blue candidates
@@ -74,7 +71,6 @@ class RoundRobinRule final : public UnvisitedEdgeRule {
     next_[at] = idx + 1;
     return idx;
   }
-  const char* name() const override { return "round-robin"; }
 
  private:
   std::vector<std::uint32_t> next_;
@@ -101,7 +97,6 @@ class PreferVisitedEndpointRule final : public UnvisitedEdgeRule {
     }
     return best;
   }
-  const char* name() const override { return "adversary-prefer-visited"; }
 };
 
 /// Offline adversary: a fixed priority permutation over *edge ids*, drawn
@@ -133,7 +128,6 @@ class FixedPriorityRule final : public UnvisitedEdgeRule {
     }
     return best;
   }
-  const char* name() const override { return "fixed-priority"; }
 
  private:
   std::vector<EdgeId> priority_;
@@ -158,7 +152,6 @@ class PreferUnvisitedEndpointRule final : public UnvisitedEdgeRule {
     if (unvisited_seen > 0) return pick;
     return static_cast<std::uint32_t>(rng.uniform(blue_count));
   }
-  const char* name() const override { return "greedy-prefer-unvisited"; }
 };
 
 }  // namespace ewalk

@@ -31,7 +31,6 @@ class SimpleRandomWalk final : public WalkProcess {
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override { return options_.lazy ? "lazy-srw" : "srw"; }
 
  private:
   const Graph* g_;

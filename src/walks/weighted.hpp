@@ -45,7 +45,6 @@ class WeightedRandomWalk final : public WalkProcess {
   std::uint64_t steps() const override { return steps_; }
   const Graph& graph() const override { return *g_; }
   const CoverState& cover() const override { return cover_; }
-  std::string_view name() const override { return "weighted"; }
 
   /// Stationary probability of v: w(v) / Σ_u w(u), w(v) = Σ incident weights.
   double stationary_probability(Vertex v) const {

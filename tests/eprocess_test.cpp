@@ -306,7 +306,6 @@ TEST(EProcess, RuleOutOfRangeIndexThrows) {
                                std::uint32_t blue_count, Rng&) override {
       return blue_count;  // out of range
     }
-    const char* name() const override { return "bad"; }
   };
   const Graph g = cycle_graph(4);
   BadRule rule;

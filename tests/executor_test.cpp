@@ -124,6 +124,36 @@ TEST(TaskScope, FirstExceptionPropagatesAndSkipsUnstartedTasks) {
   EXPECT_EQ(after.load(), 8);
 }
 
+TEST(TaskScope, CapOneRunsInSpawnOrder) {
+  // cap = 1 admits a root's tasks one at a time, oldest first, even while
+  // several workers scan the same queue: a worker refused on task k must
+  // not take task k+1 when the slot opens in the middle of its scan. Task 0
+  // holds the slot until every task is queued, and the tasks after it run
+  // for 0-30 us, about as long as a woken worker takes to start its scan.
+  constexpr int kTasks = 64;
+  std::vector<int> expected(kTasks);
+  std::iota(expected.begin(), expected.end(), 0);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<int> order;
+    order.reserve(kTasks);
+    std::atomic<bool> queued{false};
+    TaskScope scope(/*max_parallelism=*/1);
+    for (int i = 0; i < kTasks; ++i)
+      scope.spawn([&order, &queued, i] {
+        if (i == 0)
+          while (!queued.load(std::memory_order_acquire)) std::this_thread::yield();
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(2 * (i % 16));
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        order.push_back(i);
+      });
+    queued.store(true, std::memory_order_release);
+    scope.wait();
+    ASSERT_EQ(order, expected) << "repetition " << rep;
+  }
+}
+
 TEST(TaskScope, ExceptionInNestedScopePropagatesThroughParent) {
   std::atomic<int> outer_done{0};
   TaskScope scope;

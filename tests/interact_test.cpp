@@ -26,8 +26,7 @@ namespace {
 // ---- TokenSystem ----------------------------------------------------------
 
 TEST(TokenSystem, PlacesAndMovesTokens) {
-  const Graph g = cycle_graph(8);
-  TokenSystem ts(g, {0, 4});
+  TokenSystem ts(/*n=*/8, {0, 4});
   EXPECT_EQ(ts.initial_tokens(), 2u);
   EXPECT_EQ(ts.tokens_alive(), 2u);
   EXPECT_EQ(ts.occupant(0), 0u);
@@ -43,8 +42,7 @@ TEST(TokenSystem, PlacesAndMovesTokens) {
 }
 
 TEST(TokenSystem, CollisionAndMergeBookkeeping) {
-  const Graph g = cycle_graph(8);
-  TokenSystem ts(g, {0, 1});
+  TokenSystem ts(/*n=*/8, {0, 1});
   const auto other = ts.move(0, 1, 7);  // token 0 steps onto token 1
   EXPECT_EQ(other, 1u);
   EXPECT_EQ(ts.first_meeting_step(), 7u);
@@ -58,10 +56,9 @@ TEST(TokenSystem, CollisionAndMergeBookkeeping) {
 }
 
 TEST(TokenSystem, RejectsBadStarts) {
-  const Graph g = cycle_graph(8);
-  EXPECT_THROW(TokenSystem(g, {}), std::invalid_argument);
-  EXPECT_THROW(TokenSystem(g, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(TokenSystem(g, {0, 99}), std::invalid_argument);
+  EXPECT_THROW(TokenSystem(8, {}), std::invalid_argument);
+  EXPECT_THROW(TokenSystem(8, {0, 0}), std::invalid_argument);
+  EXPECT_THROW(TokenSystem(8, {0, 99}), std::invalid_argument);
 }
 
 TEST(TokenSystem, SpreadStartsAreDistinctAndWrap) {

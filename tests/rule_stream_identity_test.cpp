@@ -80,7 +80,6 @@ class LegacyUniform final : public SpanRuleShim {
                        std::span<const Slot> candidates, Rng& rng) override {
     return static_cast<std::uint32_t>(rng.uniform(candidates.size()));
   }
-  const char* name() const override { return "legacy-uniform"; }
   // Deliberately NOT uniform_over_candidates(): forces the span path, so the
   // comparison also re-proves fast path == span path.
 };
@@ -91,7 +90,6 @@ class LegacyFirst final : public SpanRuleShim {
                        Rng&) override {
     return 0;
   }
-  const char* name() const override { return "legacy-first"; }
 };
 
 class LegacyLast final : public SpanRuleShim {
@@ -100,7 +98,6 @@ class LegacyLast final : public SpanRuleShim {
                        std::span<const Slot> candidates, Rng&) override {
     return static_cast<std::uint32_t>(candidates.size() - 1);
   }
-  const char* name() const override { return "legacy-last"; }
 };
 
 class LegacyRoundRobin final : public SpanRuleShim {
@@ -113,7 +110,6 @@ class LegacyRoundRobin final : public SpanRuleShim {
     next_[at] = idx + 1;
     return idx;
   }
-  const char* name() const override { return "legacy-roundrobin"; }
 
  private:
   std::vector<std::uint32_t> next_;
@@ -134,7 +130,6 @@ class LegacyAdversary final : public SpanRuleShim {
     }
     return best;
   }
-  const char* name() const override { return "legacy-adversary"; }
 };
 
 class LegacyGreedy final : public SpanRuleShim {
@@ -152,7 +147,6 @@ class LegacyGreedy final : public SpanRuleShim {
     if (unvisited_seen > 0) return pick;
     return static_cast<std::uint32_t>(rng.uniform(candidates.size()));
   }
-  const char* name() const override { return "legacy-greedy"; }
 };
 
 class LegacyPriority final : public SpanRuleShim {
@@ -167,7 +161,6 @@ class LegacyPriority final : public SpanRuleShim {
         best = i;
     return best;
   }
-  const char* name() const override { return "legacy-priority"; }
 
  private:
   std::vector<EdgeId> priority_;

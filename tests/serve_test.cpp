@@ -524,7 +524,6 @@ class StepOrderWalk final : public WalkProcess {
   std::uint64_t steps() const override { return walk_.steps(); }
   const CoverState& cover() const override { return walk_.cover(); }
   const Graph& graph() const override { return walk_.graph(); }
-  std::string_view name() const override { return "test-step-order"; }
 
  private:
   SimpleRandomWalk walk_;
