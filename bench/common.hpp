@@ -12,7 +12,6 @@
 
 #include "covertime/experiment.hpp"
 #include "engine/registry.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -51,25 +50,14 @@ inline std::unique_ptr<CsvWriter> open_csv(const std::string& name,
 /// Connected random r-regular graph factory for the sweep benches,
 /// selected by name: "pairing" (pairing model + edge-swap repair — the
 /// fast default) or "sw" (Steger–Wormald, the paper's reference generator).
-/// "pairing-bfs" replays the pre-union-find retry loop — build the CSR,
-/// BFS it, throw it away if disconnected — and exists only so the
-/// `--gen-only` microbench can A/B the connectivity-aware path against the
-/// legacy one inside a single binary.
 inline GraphFactory regular_factory(const std::string& generator, Vertex n,
                                     std::uint32_t r) {
   if (generator == "pairing")
     return [n, r](Rng& rng) { return random_regular_pairing_connected(n, r, rng); };
   if (generator == "sw")
     return [n, r](Rng& rng) { return random_regular_connected(n, r, rng); };
-  if (generator == "pairing-bfs")
-    return [n, r](Rng& rng) {
-      for (;;) {
-        Graph g = random_regular_pairing(n, r, rng);
-        if (is_connected(g)) return g;
-      }
-    };
-  throw std::invalid_argument(
-      "--generator must be pairing, sw, or pairing-bfs, got: " + generator);
+  throw std::invalid_argument("--generator must be pairing or sw, got: " +
+                              generator);
 }
 
 /// A ProcessFactory building registry process `name` with `params`.

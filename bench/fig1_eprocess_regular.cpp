@@ -14,11 +14,10 @@
 // (schema: src/sweep/report.hpp; CI validates the JSON).
 //
 // Flags: --trials N --seed S --threads T --full (n up to 5*10^5, the
-// paper's range) --generator pairing|sw|pairing-bfs (default pairing — the
-// edge-swap generator that keeps large-n trial setup off the critical path;
-// sw is the paper's Steger–Wormald reference; pairing-bfs replays the
-// legacy build-then-BFS retry loop for A/B comparison) --degrees 3,4,5,6,7
-// --ns n1,n2,... — default sizes are laptop-CI friendly.
+// paper's range) --generator pairing|sw (default pairing — the edge-swap
+// generator that keeps large-n trial setup off the critical path; sw is the
+// paper's Steger–Wormald reference) --degrees 3,4,5,6,7 --ns n1,n2,... —
+// default sizes are laptop-CI friendly.
 //
 // --max-trials M (with --ci-width W, default 0.05) switches the sweep to
 // adaptive trial counts: each (d, n) series runs --trials to M trials until

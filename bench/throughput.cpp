@@ -1,11 +1,13 @@
 // Steps/sec throughput microbenchmark: the repo's perf trajectory.
 //
-// Every optimisation PR needs a number. This bench sweeps the hot processes
-// (SRW, E-process under the uniform and round-robin rules, coalescing SRW
-// tokens, Herman's protocol) over the standard graph families (cycle,
-// random-regular, hypercube, LPS Ramanujan, complete) and reports raw
-// steps/sec for each (process, family) pair, running every pair as a
-// bundle of one through run_trial_bundle (engine/bundle.hpp) with check
+// Every optimisation PR needs a number. This bench sweeps the registered
+// walks the paper compares — SRW (plain and lazy), the E-process under the
+// uniform, round-robin and adversary rules, rotor-router, RWC(d), the
+// V-process (vertexwalk) and the locally-fair leastused walk — plus
+// coalescing SRW tokens and Herman's protocol over the standard graph
+// families (cycle, random-regular, hypercube, LPS Ramanujan, complete) and
+// reports raw steps/sec for each (process, family) pair, running every pair
+// as a bundle of one through run_trial_bundle (engine/bundle.hpp) with check
 // stride --chunk — the trial kernel every CLI, sweep and daemon trial runs
 // through, so the measured path is the path real experiments take.
 //
@@ -115,7 +117,46 @@ std::vector<ProcessSpec> processes() {
       {"eprocess-rr", "eprocess", {{"rule", "roundrobin"}}},
       {"coalescing-srw", "coalescing-srw", {{"tokens", "32"}}},
       {"herman", "herman", {{"tokens", "33"}}, /*cycle_only=*/true},
+      {"srw-lazy", "srw", {{"lazy", "true"}}},
+      {"eprocess-adversary", "eprocess", {{"rule", "adversary"}}},
+      {"rotor", "rotor", {}},
+      {"rwc", "rwc", {}},
+      {"vertexwalk", "vertexwalk", {}},
+      {"leastused", "leastused", {}},
   };
+}
+
+/// Builds one `proc` walk on `g` per stream in `seeds`, drives them as one
+/// bundle through run_trial_bundle for `steps` steps each, and returns the
+/// best of `reps` runs. Every rep starts from fresh processes on copies of
+/// `seeds`, so the reps repeat the same trajectories.
+Result measure(const ProcessSpec& proc, const std::string& graph_key,
+               const Graph& g, const std::vector<Rng>& seeds,
+               std::uint64_t steps, std::uint64_t chunk, std::uint64_t reps) {
+  const std::size_t width = seeds.size();
+  Result best{};
+  for (std::uint64_t rep = 0; rep < reps; ++rep) {
+    std::vector<Rng> streams = seeds;
+    std::vector<std::unique_ptr<WalkProcess>> walks;
+    walks.reserve(width);
+    std::vector<BundleTrial> bundle(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      walks.push_back(ProcessRegistry::instance().create(
+          proc.process, g, proc.params, streams[i]));
+      bundle[i] = BundleTrial{walks.back().get(), &streams[i], steps, chunk};
+    }
+    WallTimer timer;
+    run_trial_bundle(std::span<const BundleTrial>(bundle),
+                     [](const WalkProcess&) { return false; });
+    const double secs = timer.seconds();
+    std::uint64_t total_steps = 0;
+    for (const auto& w : walks) total_steps += w->steps();
+    const double rate = static_cast<double>(total_steps) / secs;
+    if (rep == 0 || rate > best.steps_per_sec)
+      best = Result{proc.key, graph_key, g.num_vertices(), g.num_edges(),
+                    static_cast<std::uint32_t>(width), total_steps, secs, rate};
+  }
+  return best;
 }
 
 /// Writes the JSON report; false (after a message on stderr) when `path`
@@ -191,17 +232,8 @@ int main(int argc, char** argv) {
     for (const ProcessSpec& proc : processes()) {
       if (proc.cycle_only && fam.key != "cycle") continue;
       ++pair;
-      Rng rng(seed * 9176 + pair);
-      auto walk =
-          ProcessRegistry::instance().create(proc.process, g, proc.params, rng);
-      const BundleTrial trial{walk.get(), &rng, steps_per_pair, chunk};
-      WallTimer timer;
-      run_trial_bundle(std::span<const BundleTrial>(&trial, 1),
-                       [](const WalkProcess&) { return false; });
-      const double secs = timer.seconds();
-      const double rate = static_cast<double>(walk->steps()) / secs;
-      record(Result{proc.key, fam.key, g.num_vertices(), g.num_edges(), 1,
-                    walk->steps(), secs, rate});
+      record(measure(proc, fam.key, g, {Rng(seed * 9176 + pair)},
+                     steps_per_pair, chunk, 1));
     }
   }
 
@@ -242,36 +274,14 @@ int main(int argc, char** argv) {
         if (width == 0) throw std::invalid_argument("--bundle widths must be >= 1");
         ++pair;
         // Shared runners are noisy; each row is the best of `lat_reps`
-        // identical runs (fresh processes, same streams), the standard way
-        // to read a throughput ceiling through scheduling jitter.
-        Result best{};
-        for (std::uint64_t rep = 0; rep < lat_reps; ++rep) {
-          // Per-trial private streams, derived exactly like measure_cover's:
-          // one stream per interleaved walk, consumed only by that walk.
-          std::vector<Rng> streams = derive_streams(
-              seed * 9176 + pair, static_cast<std::uint32_t>(width));
-          std::vector<std::unique_ptr<WalkProcess>> walks;
-          walks.reserve(width);
-          std::vector<BundleTrial> bundle(width);
-          for (std::uint64_t i = 0; i < width; ++i) {
-            walks.push_back(ProcessRegistry::instance().create(
-                proc.process, g, proc.params, streams[i]));
-            bundle[i] = BundleTrial{walks.back().get(), &streams[i], lat_steps,
-                                    chunk};
-          }
-          WallTimer timer;
-          run_trial_bundle(std::span<const BundleTrial>(bundle),
-                           [](const WalkProcess&) { return false; });
-          const double secs = timer.seconds();
-          std::uint64_t total_steps = 0;
-          for (const auto& w : walks) total_steps += w->steps();
-          const double rate = static_cast<double>(total_steps) / secs;
-          if (rep == 0 || rate > best.steps_per_sec)
-            best = Result{proc.key, "regular-1m", g.num_vertices(),
-                          g.num_edges(), static_cast<std::uint32_t>(width),
-                          total_steps, secs, rate};
-        }
-        record(best);
+        // identical runs, the standard way to read a throughput ceiling
+        // through scheduling jitter. Per-trial private streams are derived
+        // exactly like measure_cover's: one stream per interleaved walk,
+        // consumed only by that walk.
+        record(measure(proc, "regular-1m", g,
+                       derive_streams(seed * 9176 + pair,
+                                      static_cast<std::uint32_t>(width)),
+                       lat_steps, chunk, lat_reps));
       }
     }
   }

@@ -155,10 +155,4 @@ Graph erdos_renyi(Vertex n, double p, Rng& rng);
 /// between pairs at Euclidean distance <= radius.
 Graph random_geometric(Vertex n, double radius, Rng& rng);
 
-/// Random fixed-degree-sequence graph where every degree is the same even
-/// value r — convenience wrapper: Steger–Wormald for simple graphs.
-inline Graph random_even_regular(Vertex n, std::uint32_t r, Rng& rng) {
-  return random_regular_connected(n, r, rng);
-}
-
 }  // namespace ewalk

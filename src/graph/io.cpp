@@ -17,12 +17,6 @@ void write_edge_list(const Graph& g, std::ostream& out) {
   }
 }
 
-void write_edge_list_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_edge_list_file: cannot open " + path);
-  write_edge_list(g, out);
-}
-
 Graph read_edge_list(std::istream& in) {
   Vertex n = 0;
   EdgeId m = 0;

@@ -11,7 +11,6 @@ namespace ewalk {
 
 /// Writes "n m" header then one "u v" line per edge.
 void write_edge_list(const Graph& g, std::ostream& out);
-void write_edge_list_file(const Graph& g, const std::string& path);
 
 /// Parses the format produced by write_edge_list.
 Graph read_edge_list(std::istream& in);

@@ -301,35 +301,6 @@ ServerRequest parse_request(const std::string& line) {
   return request;
 }
 
-std::string serialize_request(const ServerRequest& request) {
-  std::ostringstream out;
-  out << "{\"op\":" << json_quote(request.op);
-  if (!request.id.empty()) out << ",\"id\":" << json_quote(request.id);
-  if (request.op != "run") {
-    out << '}';
-    return out.str();
-  }
-  const RunRequest& run = request.run;
-  out << ",\"graph\":" << json_quote(run.graph)
-      << ",\"process\":" << json_quote(run.process)
-      << ",\"trials\":" << run.trials << ",\"threads\":" << run.threads
-      << ",\"seed\":" << run.seed << ",\"max-steps\":" << run.max_steps
-      << ",\"target\":" << json_quote(run_target_name(run.target))
-      << ",\"target-tokens\":" << run.target_tokens
-      << ",\"bundle\":" << run.bundle_width
-      << ",\"analysis\":" << (run.analysis ? "true" : "false");
-  // run.params holds only generator/process parameters.
-  std::ostringstream params;
-  bool first = true;
-  for (const auto& [key, value] : run.params.values()) {
-    params << (first ? "" : ",") << json_quote(key) << ':' << json_quote(value);
-    first = false;
-  }
-  if (!first) out << ",\"params\":{" << params.str() << '}';
-  out << '}';
-  return out.str();
-}
-
 std::string serialize_queued(const std::string& id, std::uint64_t ticket) {
   std::ostringstream out;
   out << "{\"id\":" << json_quote(id) << ",\"status\":\"queued\",\"ticket\":"

@@ -85,11 +85,6 @@ struct ServerRequest {
 /// nearest-match suggestions.
 ServerRequest parse_request(const std::string& line);
 
-/// Serializes a request back to a canonical protocol line (fields in fixed
-/// order, params sorted). parse_request(serialize_request(r)) reproduces
-/// `r` — the round-trip property the protocol tests pin.
-std::string serialize_request(const ServerRequest& request);
-
 /// The immediate acknowledgement for an accepted run:
 /// {"id":..,"status":"queued","ticket":N}.
 std::string serialize_queued(const std::string& id, std::uint64_t ticket);
