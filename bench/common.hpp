@@ -60,6 +60,15 @@ inline GraphFactory regular_factory(const std::string& generator, Vertex n,
                               generator);
 }
 
+/// The --generator flag of the regular-graph sweep benches ("pairing" by
+/// default), rejected by regular_factory's own check when unknown. Benches
+/// read it before printing anything, so a bad name fails with no output.
+inline std::string regular_generator(const Cli& cli) {
+  std::string generator = cli.get("generator", "pairing");
+  regular_factory(generator, 0, 0);
+  return generator;
+}
+
 /// A ProcessFactory building registry process `name` with `params`.
 inline ProcessFactory registry_process(std::string name, ParamMap params = {}) {
   return [name = std::move(name), params = std::move(params)](const Graph& g,

@@ -108,11 +108,11 @@ int run_gen_only(const bench::BenchConfig& cfg, const std::string& generator,
 int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const auto cfg = bench::parse_config(argc, argv);
+  const std::string generator = bench::regular_generator(cli);
   bench::print_header(
       "Figure 1: normalised E-process vertex cover time on d-regular graphs",
       "even d flat; odd d ~ c n ln n, c = 0.93 / 0.41 / 0.38 for d = 3/5/7");
 
-  const std::string generator = cli.get("generator", "pairing");
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{100000, 200000, 300000, 400000, 500000}
                : std::vector<std::uint64_t>{25000, 50000, 100000, 200000};

@@ -23,11 +23,11 @@ using namespace ewalk;
 int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const auto cfg = bench::parse_config(argc, argv);
+  const std::string generator = bench::regular_generator(cli);
   bench::print_header(
       "Multi-walker E-process scaling on 4-regular expanders",
       "extension: k walkers, shared blue/red state, round-robin system steps");
 
-  const std::string generator = cli.get("generator", "pairing");
   const Vertex n = cfg.full ? 200000 : 50000;
   std::vector<std::uint64_t> ks{1, 2, 4, 8, 16};
   if (cli.has("walkers")) ks = parse_u64_list("walkers", cli.get("walkers", ""));

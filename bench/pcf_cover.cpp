@@ -63,11 +63,11 @@ ProcessFactory pcf_factory(double alpha) {
 int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const auto cfg = bench::parse_config(argc, argv);
+  const std::string generator = bench::regular_generator(cli);
   bench::print_header(
       "E-process vs SRW vertex cover on PCF-evolving graphs (4-regular base)",
       "edges open at rate 1, components freeze at rate alpha; dt = 1/n");
 
-  const std::string generator = cli.get("generator", "pairing");
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{10000, 20000, 40000}
                : std::vector<std::uint64_t>{2000, 5000};
@@ -100,7 +100,6 @@ int main(int argc, char** argv) try {
   sc.trials = cfg.trials;
   sc.threads = cfg.threads;
   sc.master_seed = cfg.seed;
-  sc.reuse_graph = true;  // both walks share the per-trial base instance
   const SweepResult result = run_sweep("pcf_cover", points, sc);
 
   std::printf("base generator: %s (one shared base per trial)\n",

@@ -7,8 +7,8 @@
 // Theorem 5), and the E-process, plus the SRW/E-process ratio and the
 // Theorem-5 lower bound (n/4) log(n/2) that both reversible walks must obey.
 //
-// Runs as one sweep (src/sweep/) with graph reuse: each (r, n, trial) unit
-// builds ONE random regular graph inside its pool task and drives all three
+// Runs as one sweep (src/sweep/): each (r, n, trial) unit builds ONE
+// random regular graph inside its pool task and drives all three
 // processes on that same instance — a genuine head-to-head per instance,
 // and a third of the generation work of the per-process harness it
 // replaces. Results: bench_out/SWEEP_srw_vs_eprocess.{json,csv}.
@@ -31,11 +31,11 @@ using namespace ewalk;
 int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const auto cfg = bench::parse_config(argc, argv);
+  const std::string generator = bench::regular_generator(cli);
   bench::print_header(
       "SRW vs weighted walk vs E-process vertex cover (r-regular, r even)",
       "C_V(E) = Theta(n); C_V(any reversible walk) >= (n/4) log(n/2)");
 
-  const std::string generator = cli.get("generator", "pairing");
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{20000, 40000, 80000, 160000}
                : std::vector<std::uint64_t>{5000, 10000, 20000, 40000};
@@ -81,7 +81,6 @@ int main(int argc, char** argv) try {
   sc.trials = cfg.trials;
   sc.threads = cfg.threads;
   sc.master_seed = cfg.seed;
-  sc.reuse_graph = true;  // all three walks per trial share one instance
   const SweepResult result = run_sweep("srw_vs_eprocess", points, sc);
 
   std::printf("generator: %s (one shared graph per trial)\n", generator.c_str());

@@ -24,7 +24,37 @@ void TrialTarget::check(ProcessKind kind) const {
         "--target coalescence needs an interacting-token process");
 }
 
-std::vector<std::uint8_t> TrialTarget::run(
+std::vector<TrialOutcome> TrialTarget::run(std::span<Rng> streams,
+                                           std::uint64_t max_steps,
+                                           const TrialBuilder& build) const {
+  std::vector<TrialSetup> setups;
+  setups.reserve(streams.size());
+  std::vector<BundleTrial> bundle;
+  bundle.reserve(streams.size());
+  std::vector<TrialOutcome> outcomes(streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    setups.push_back(build(streams[i]));
+    WalkProcess& process = *setups.back().process;
+    check(dynamic_cast<const TokenProcess*>(&process) != nullptr
+              ? ProcessKind::kToken
+              : ProcessKind::kWalk);
+    outcomes[i].budget =
+        max_steps != 0 ? max_steps : default_step_budget(process.graph());
+    bundle.push_back(BundleTrial{&process, &streams[i], outcomes[i].budget, 1});
+  }
+  const std::vector<std::uint8_t> finished = drive(bundle);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const WalkProcess& process = *setups[i].process;
+    TrialOutcome& out = outcomes[i];
+    out.done = finished[i] != 0;
+    out.result_step = result_step(process);
+    out.steps = process.steps();
+    out.first_meeting = first_meeting(process);
+  }
+  return outcomes;
+}
+
+std::vector<std::uint8_t> TrialTarget::drive(
     std::span<const BundleTrial> trials) const {
   switch (kind_) {
     case RunTarget::kEdges:
@@ -72,33 +102,10 @@ std::vector<TrialOutcome> run_target_trials(const RunRequest& req,
   std::vector<TrialOutcome> outcomes(req.trials);
   const std::uint32_t width = std::max(1u, req.bundle_width);
 
-  // Trials [lo, hi) as one bundle, built in ascending order from their own
-  // streams; every trial is checked at every step, as run_until would.
   const auto run_bundle = [&](std::uint32_t lo, std::uint32_t hi) {
-    std::vector<TrialSetup> setups;
-    setups.reserve(hi - lo);
-    std::vector<BundleTrial> bundle;
-    bundle.reserve(hi - lo);
-    for (std::uint32_t t = lo; t < hi; ++t) {
-      setups.push_back(build(streams[t]));
-      WalkProcess& process = *setups.back().process;
-      target.check(dynamic_cast<const TokenProcess*>(&process) != nullptr
-                       ? ProcessKind::kToken
-                       : ProcessKind::kWalk);
-      outcomes[t].budget = req.max_steps != 0
-                               ? req.max_steps
-                               : default_step_budget(process.graph());
-      bundle.push_back(BundleTrial{&process, &streams[t], outcomes[t].budget, 1});
-    }
-    const std::vector<std::uint8_t> finished = target.run(bundle);
-    for (std::uint32_t t = lo; t < hi; ++t) {
-      const WalkProcess& process = *setups[t - lo].process;
-      TrialOutcome& out = outcomes[t];
-      out.done = finished[t - lo] != 0;
-      out.result_step = target.result_step(process);
-      out.steps = process.steps();
-      out.first_meeting = target.first_meeting(process);
-    }
+    const std::vector<TrialOutcome> bundle = target.run(
+        std::span(streams).subspan(lo, hi - lo), req.max_steps, build);
+    std::copy(bundle.begin(), bundle.end(), outcomes.begin() + lo);
   };
 
   const std::uint32_t bundles = (req.trials + width - 1) / width;

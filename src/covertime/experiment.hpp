@@ -2,11 +2,13 @@
 //
 // The paper's Figure 1 plots the trial-mean normalised cover time (5 trials
 // per point, new random graph per trial). This module provides:
-//   * TrialTarget + run_target_trials — the one trial loop: every trial a
-//     harness runs (here, in execute_run, in the benches, and in the
-//     sweep's units) reaches its target through run_trial_bundle
-//     (engine/bundle.hpp), width 1 being a bundle of one, on per-trial
-//     streams that make results bit-identical across thread counts;
+//   * TrialTarget::run — the one bundle runner: every trial a harness runs
+//     (here, in execute_run, in the benches, and in the sweep's series) is
+//     built from its own stream and reaches its target through one
+//     run_trial_bundle call (engine/bundle.hpp), width 1 being a bundle of
+//     one, so results are bit-identical across widths and thread counts;
+//   * run_target_trials — the request-driven trial loop: per-trial streams
+//     from the request's seed, bundles fanned out on the scheduler;
 //   * measure_cover — the one cover-time experiment: any WalkProcess
 //     factory, any graph factory, vertex or edge target;
 //   * measure_coalescence — the interacting-walker mirror of measure_cover:
@@ -50,43 +52,6 @@ using ProcessFactory =
 
 // ---- The trial kernel ------------------------------------------------------
 
-/// What a trial is driven to: vertex cover, edge cover, or a token
-/// population of at most `tokens`. It supplies the bundle predicate and the
-/// step a finished trial reports, and it is the one place a WalkProcess is
-/// read as a TokenProcess — check() verifies the kind once per trial, so
-/// the per-step predicate never casts dynamically.
-class TrialTarget {
- public:
-  /// Vertex or edge cover.
-  explicit TrialTarget(CoverTarget cover);
-  /// A resolved run target; kCoalescence stops once at most `tokens`
-  /// tokens remain. kAuto throws std::invalid_argument (resolve it first).
-  TrialTarget(RunTarget target, std::uint32_t tokens);
-
-  /// Throws std::invalid_argument unless a process of `kind` can reach
-  /// this target: a token target needs a TokenProcess.
-  void check(ProcessKind kind) const;
-
-  /// Drives the trials to this target through one run_trial_bundle call,
-  /// each on its own BundleTrial budget and check stride. Returns one flag
-  /// per trial, 1 iff the target was reached.
-  std::vector<std::uint8_t> run(std::span<const BundleTrial> trials) const;
-
-  /// The step a finished trial reports: the vertex or edge cover step; for
-  /// a token target the coalescence step when `tokens` <= 1, else the
-  /// step the population reached the target (with stride-1 checks, the
-  /// process's step count when it stopped).
-  std::uint64_t result_step(const WalkProcess& process) const;
-
-  /// First meeting step of a token target's process (kNotCovered when no
-  /// tokens met); kNotCovered for cover targets.
-  std::uint64_t first_meeting(const WalkProcess& process) const;
-
- private:
-  RunTarget kind_;            // kVertices, kEdges or kCoalescence
-  std::uint32_t tokens_ = 1;  // population threshold of kCoalescence
-};
-
 /// One trial as built from its private stream: the process to drive and,
 /// when the trial draws its own graph, that graph (the process points
 /// into it, so it must stay where the unique_ptr put it).
@@ -99,13 +64,13 @@ struct TrialSetup {
 /// process's construction-time draws, then the walk).
 using TrialBuilder = std::function<TrialSetup(Rng&)>;
 
-/// What one trial of run_target_trials did.
+/// What one trial of TrialTarget::run did.
 struct TrialOutcome {
   bool done = false;             ///< the target was reached within the budget
-  std::uint64_t result_step = 0; ///< TrialTarget::result_step (meaningful when done)
+  std::uint64_t result_step = 0; ///< the step the target was reached (meaningful when done)
   std::uint64_t budget = 0;      ///< the trial's step budget
   std::uint64_t steps = 0;       ///< transitions made
-  std::uint64_t first_meeting = kNotCovered;  ///< TrialTarget::first_meeting
+  std::uint64_t first_meeting = kNotCovered;  ///< first meeting step (token targets)
 
   /// The trial's sample: the result step, or the budget when unfinished.
   double sample() const {
@@ -119,16 +84,56 @@ struct TrialOutcome {
   }
 };
 
-/// The one trial loop every harness shares. Derives trial t's stream from
-/// (req.seed, t) (derive_streams), builds each trial through `build`,
-/// checks it against `target`, packs consecutive trials into bundles of
-/// max(1, req.bundle_width), and runs one TaskScope task per bundle with
-/// at most req.threads threads (0 = hardware). Each trial's budget is
-/// req.max_steps, or default_step_budget of its process's graph when 0, and
-/// it is checked every step. Outcomes come back in trial order and are
-/// bit-identical for every bundle width and thread count: a trial's
-/// trajectory depends only on its own stream. Exceptions thrown by `build`
-/// or check() propagate.
+/// What a trial is driven to: vertex cover, edge cover, or a token
+/// population of at most `tokens`. Its run() is the one bundle runner every
+/// harness shares, and it is the one place a WalkProcess is read as a
+/// TokenProcess — check() verifies the kind once per trial, so the per-step
+/// predicate never casts dynamically.
+class TrialTarget {
+ public:
+  /// Vertex or edge cover.
+  explicit TrialTarget(CoverTarget cover);
+  /// A resolved run target; kCoalescence stops once at most `tokens`
+  /// tokens remain. kAuto throws std::invalid_argument (resolve it first).
+  TrialTarget(RunTarget target, std::uint32_t tokens);
+
+  /// Throws std::invalid_argument unless a process of `kind` can reach
+  /// this target: a token target needs a TokenProcess.
+  void check(ProcessKind kind) const;
+
+  /// Runs one bundle: builds trial i from streams[i] (ascending i) through
+  /// `build`, check()s it, and drives every trial to this target through
+  /// one run_trial_bundle call, checked at every step, on a budget of
+  /// `max_steps` (default_step_budget of the trial's graph when 0).
+  /// Returns one outcome per stream, in order; a trial's trajectory depends
+  /// only on its own stream, so outcomes do not depend on the bundle's
+  /// width. Exceptions thrown by `build` or check() propagate.
+  std::vector<TrialOutcome> run(std::span<Rng> streams, std::uint64_t max_steps,
+                                const TrialBuilder& build) const;
+
+ private:
+  // Drives built trials to the target; one flag per trial, 1 iff reached.
+  std::vector<std::uint8_t> drive(std::span<const BundleTrial> trials) const;
+  // The step a finished trial reports: the vertex or edge cover step; for a
+  // token target the coalescence step when tokens_ <= 1, else the step the
+  // population reached the target (with stride-1 checks, the process's
+  // step count when it stopped).
+  std::uint64_t result_step(const WalkProcess& process) const;
+  // First meeting step of a token target's process (kNotCovered when no
+  // tokens met); kNotCovered for cover targets.
+  std::uint64_t first_meeting(const WalkProcess& process) const;
+
+  RunTarget kind_;            // kVertices, kEdges or kCoalescence
+  std::uint32_t tokens_ = 1;  // population threshold of kCoalescence
+};
+
+/// The request-driven trial loop. Derives trial t's stream from
+/// (req.seed, t) (derive_streams), packs consecutive trials into bundles of
+/// max(1, req.bundle_width), and runs each bundle through target.run on a
+/// budget of req.max_steps — one TaskScope task per bundle, with at most
+/// req.threads threads (0 = hardware). Outcomes come back in trial order
+/// and are bit-identical for every bundle width and thread count.
+/// Exceptions thrown by `build` or check() propagate.
 std::vector<TrialOutcome> run_target_trials(const RunRequest& req,
                                             const TrialTarget& target,
                                             const TrialBuilder& build);

@@ -29,6 +29,12 @@ std::string run_target_name(RunTarget target) {
   return "auto";
 }
 
+RunTarget resolve_run_target(RunTarget target, const ProcessEntry& process) {
+  if (target != RunTarget::kAuto) return target;
+  return process.kind == ProcessKind::kToken ? RunTarget::kCoalescence
+                                             : RunTarget::kVertices;
+}
+
 const ParamSchema& run_schema() {
   static const ParamSchema schema = [] {
     using std::to_string;
@@ -117,10 +123,7 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     // The declared kind resolves the target: token processes default to
     // coalescence, and a coalescence target on a walk is rejected here,
     // before any graph or trial is built.
-    out.target = req.target;
-    if (out.target == RunTarget::kAuto)
-      out.target = process.kind == ProcessKind::kToken ? RunTarget::kCoalescence
-                                                       : RunTarget::kVertices;
+    out.target = resolve_run_target(req.target, process);
     const TrialTarget target(out.target, req.target_tokens);
     target.check(process.kind);
 

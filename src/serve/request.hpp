@@ -25,6 +25,8 @@
 
 namespace ewalk {
 
+struct ProcessEntry;
+
 /// What a run should drive each trial to. kAuto resolves from the
 /// process's declared kind: a token process (coalescing-*, herman) targets
 /// coalescence, everything else vertex cover.
@@ -42,6 +44,10 @@ RunTarget parse_run_target(const std::string& name);
 /// Canonical spelling of a resolved target ("vertices", "edges",
 /// "coalescence"; kAuto renders as "auto").
 std::string run_target_name(RunTarget target);
+
+/// Resolves kAuto from `process`'s declared kind: coalescence for a token
+/// process, vertex cover otherwise. A resolved target passes through.
+RunTarget resolve_run_target(RunTarget target, const ProcessEntry& process);
 
 /// The canonical run configuration (see file comment). Its defaults are
 /// the run schema's (run_schema()); field names mirror the CLI flags

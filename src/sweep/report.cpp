@@ -20,8 +20,7 @@ std::string write_sweep_json(const SweepResult& result,
   std::fprintf(f,
                "{\n  \"sweep\": %s,\n  \"version\": 3,\n"
                "  \"seed\": %llu,\n  \"trials\": %u,\n  \"max_trials\": %u,\n"
-               "  \"ci_rel_target\": %s,\n  \"threads\": %u,\n"
-               "  \"reuse_graph\": %s,\n  \"pin\": %s,\n"
+               "  \"ci_rel_target\": %s,\n  \"threads\": %u,\n  \"pin\": %s,\n"
                "  \"gen_seconds\": %s,\n  \"walk_seconds\": %s,\n"
                "  \"wall_seconds\": %s,\n  \"unit_count\": %u,\n"
                "  \"unit_seconds_min\": %s,\n  \"unit_seconds_max\": %s,\n"
@@ -30,7 +29,6 @@ std::string write_sweep_json(const SweepResult& result,
                static_cast<unsigned long long>(result.master_seed),
                result.trials, result.max_trials,
                format_json_double(result.ci_rel_target).c_str(), result.threads,
-               result.reuse_graph ? "true" : "false",
                result.pinned ? "true" : "false",
                format_json_double(result.gen_seconds).c_str(),
                format_json_double(result.walk_seconds).c_str(),

@@ -14,7 +14,7 @@
 // which still accepts v1/v2 files from older artifacts):
 //   { "sweep": str, "version": 3, "seed": u64, "trials": u32,
 //     "max_trials": u32, "ci_rel_target": f64,
-//     "threads": u32, "reuse_graph": bool, "pin": bool,
+//     "threads": u32, "pin": bool,
 //     "gen_seconds": f64, "walk_seconds": f64, "wall_seconds": f64,
 //     "unit_count": u32, "unit_seconds_min": f64, "unit_seconds_max": f64,
 //     "timeline_bucket_seconds": f64,
@@ -30,10 +30,15 @@
 //             "walk_seconds": f64, "samples": [f64, ...] }, ... ] }, ... ] }
 // `trials` is the floor; "max_trials" is 0 for fixed-trials sweeps, in which
 // case every "trials_used" equals "trials". "samples" always has exactly
-// "trials_used" entries. "thread_timeline" has one entry per scheduler
-// thread that did sweep work, in timing-slot order; "busy_seconds" and
-// "units" are parallel arrays over the same fixed-width buckets
-// ("timeline_bucket_seconds" wide, spanning "wall_seconds").
+// "trials_used" entries. Every series of a point runs on that trial's one
+// graph: "gen_seconds" times building the graphs, and a series'
+// "walk_seconds" times its bundles through TrialTarget::run, building the
+// trials' processes included. Older files may also carry the flag of an
+// independent-graphs mode, since removed; readers ignore it.
+// "thread_timeline" has one entry per scheduler thread that did sweep work,
+// in timing-slot order; "busy_seconds" and "units" are parallel arrays over
+// the same fixed-width buckets ("timeline_bucket_seconds" wide, spanning
+// "wall_seconds").
 #pragma once
 
 #include <string>

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <numeric>
 
-#include "engine/budget.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -17,13 +15,13 @@ namespace {
 // What one unit task (one point, one trial) records for one series. Spans
 // are seconds relative to the sweep's start timer; `thread` is the
 // Executor::timing_slot of the thread that ran the series — bookkeeping
-// for the v3 timeline only, never an input to the measurement.
+// for the v3 timeline only, never an input to the measurement. The span
+// [t_start, t_end] is the series' walk time (building its processes
+// included); it is empty on all but a bundle's lead cell.
 struct SeriesCell {
   double value = 0.0;
   bool covered = false;
   bool ran = false;  // false when the series was already closed at this trial
-  double walk_seconds = 0.0;
-  double gen_seconds = 0.0;  // private-graph build time (reuse off)
   std::uint32_t thread = 0;
   double t_start = 0.0;
   double t_end = 0.0;
@@ -31,9 +29,9 @@ struct SeriesCell {
 
 // What one unit task records in total. Units write disjoint slots of a
 // structure only resized between rounds, so tasks need no locking around
-// results; series subtasks of one unit write disjoint cells.
+// results; series subtasks of one unit write disjoint cells. The span
+// [gen_t_start, gen_t_end] is the trial's graph build.
 struct UnitRecord {
-  double gen_seconds = 0.0;   // shared-graph build time (reuse on)
   std::uint32_t gen_thread = 0;
   double gen_t_start = 0.0;
   double gen_t_end = 0.0;
@@ -113,103 +111,71 @@ SweepResult run_sweep(const std::string& name,
   if (workers == 0) workers = 1;
   const bool parallel = workers > 1 && !points.empty();
 
-  // records[p][t] is trial t of point p; done[p] counts its finished trials.
-  // Each point task owns its own slice; the caller reads everything back
-  // only after the root scope wait.
+  // records[p][t] is trial t of point p. Each point task owns its own
+  // slice; the caller reads everything back only after the root scope wait.
   std::vector<std::vector<UnitRecord>> records(points.size());
-  std::vector<std::uint32_t> done(points.size(), 0);
 
   WallTimer sweep_timer;  // the epoch every recorded span is relative to
 
-  // Series s of trials [lo, hi) of point p as one bundle: each trial's
-  // process is built from its own role streams (on the shared graph, or on
-  // a private graph drawn here when reuse is off) and all of them advance
-  // together through TrialTarget::run (run_trial_bundle) with the stride-1
-  // check schedule. The bundle is one interleaved run, so it is one busy
-  // span: the lead cell carries it; the other cells are zero-span points
-  // at the bundle's end, so each still counts one series completion in the
-  // timeline.
+  // Series s of trials [lo, hi) of point p as one bundle through
+  // TrialTarget::run: trial t's process is built on the unit's graph of
+  // trial t from its role-(2s+1) stream. The bundle is one interleaved run,
+  // so it is one busy span: the lead cell carries it; the other cells are
+  // zero-span points at the bundle's end, so each still counts one series
+  // completion in the timeline.
   const auto run_series = [&](std::size_t p, std::uint32_t lo,
                               std::uint32_t hi, std::size_t s,
-                              const std::vector<Graph>& shared) {
+                              const std::vector<Graph>& graphs) {
     const SweepPoint& point = points[p];
-    const TrialTarget target(point.series[s].target);
-    const std::uint32_t width = hi - lo;
+    const ProcessFactory& process = point.series[s].process;
+    std::vector<Rng> streams;
+    streams.reserve(hi - lo);
+    for (std::uint32_t t = lo; t < hi; ++t)
+      streams.push_back(sweep_stream(config.master_seed, p, t, 2 * s + 1));
     const double series_start = sweep_timer.seconds();
-    // Processes hold Graph* and BundleTrial holds Rng*: reserve so the
-    // backing storage never reallocates under them.
-    std::vector<Graph> privates;
-    std::vector<Rng> walk_rngs;
-    std::vector<std::unique_ptr<WalkProcess>> walks;
-    if (!config.reuse_graph) privates.reserve(width);
-    walk_rngs.reserve(width);
-    walks.reserve(width);
-    std::vector<BundleTrial> bundle(width);
-    for (std::uint32_t i = 0; i < width; ++i) {
-      const std::uint32_t t = lo + i;
-      SeriesCell& cell = records[p][t].cells[s];
-      cell.thread = Executor::timing_slot();
-      const Graph* g;
-      if (config.reuse_graph) {
-        g = &shared[i];
-      } else {
-        Rng graph_rng = sweep_stream(config.master_seed, p, t, 2 * s + 2);
-        WallTimer gen_timer;
-        privates.push_back(point.graph(graph_rng));
-        cell.gen_seconds = gen_timer.seconds();
-        g = &privates.back();
-      }
-      walk_rngs.push_back(sweep_stream(config.master_seed, p, t, 2 * s + 1));
-      walks.push_back(point.series[s].process(*g, walk_rngs.back()));
-      const std::uint64_t budget =
-          point.max_steps != 0 ? point.max_steps : default_step_budget(*g);
-      bundle[i] = BundleTrial{walks.back().get(), &walk_rngs.back(), budget, 1};
-    }
-    WallTimer walk_timer;
-    const std::vector<std::uint8_t> finished = target.run(bundle);
-    const double walk_secs = walk_timer.seconds();
+    const std::vector<TrialOutcome> outcomes =
+        TrialTarget(point.series[s].target)
+            .run(streams, point.max_steps, [&](Rng& rng) {
+              // `rng` is streams[i], the stream of trial lo + i.
+              const Graph& g = graphs[&rng - streams.data()];
+              return TrialSetup{nullptr, process(g, rng)};
+            });
     const double series_end = sweep_timer.seconds();
-    for (std::uint32_t i = 0; i < width; ++i) {
+    for (std::uint32_t i = 0; i < hi - lo; ++i) {
       SeriesCell& cell = records[p][lo + i].cells[s];
       cell.ran = true;
-      cell.covered = finished[i] != 0;
-      cell.value = static_cast<double>(cell.covered
-                                           ? target.result_step(*walks[i])
-                                           : bundle[i].max_steps);
-      cell.walk_seconds = i == 0 ? walk_secs : 0.0;
+      cell.covered = outcomes[i].done;
+      cell.value = outcomes[i].sample();
+      cell.thread = Executor::timing_slot();
       cell.t_start = i == 0 ? series_start : series_end;
       cell.t_end = series_end;
     }
   };
 
   // One scheduler unit: trials [lo, hi) of point p — a bundle of one on the
-  // width-1 schedule. Per trial (ascending) the shared graph is built from
-  // its role-0 stream; then the open series run, fanned out one level
-  // deeper when several are open on a parallel sweep. Streams and check
-  // schedules do not depend on the width, so samples are bit-identical for
-  // every width; only the wall-clock bookkeeping reflects the bundling: the
-  // unit's first trial record is its lead, so the straggler report counts
-  // units, not trials.
+  // width-1 schedule. Per trial (ascending) the graph every series shares
+  // is built from its role-0 stream; then the open series run, fanned out
+  // one level deeper when several are open on a parallel sweep. Streams and
+  // check schedules do not depend on the width, so samples are
+  // bit-identical for every width; only the wall-clock bookkeeping reflects
+  // the bundling: the unit's first trial record is its lead, so the
+  // straggler report counts units, not trials.
   const auto run_unit = [&](std::size_t p, std::uint32_t lo, std::uint32_t hi,
                             const std::vector<std::uint8_t>& mask) {
     const SweepPoint& point = points[p];
     const double unit_start = sweep_timer.seconds();
     std::vector<Graph> shared;
-    if (config.reuse_graph) shared.reserve(hi - lo);
+    shared.reserve(hi - lo);
     for (std::uint32_t t = lo; t < hi; ++t) {
       UnitRecord& rec = records[p][t];
       rec.cells.resize(point.series.size());
       rec.t_start = unit_start;
       rec.unit_lead = t == lo;
-      if (config.reuse_graph) {
-        Rng graph_rng = sweep_stream(config.master_seed, p, t, 0);
-        rec.gen_thread = Executor::timing_slot();
-        rec.gen_t_start = sweep_timer.seconds();
-        WallTimer gen_timer;
-        shared.push_back(point.graph(graph_rng));
-        rec.gen_seconds = gen_timer.seconds();
-        rec.gen_t_end = sweep_timer.seconds();
-      }
+      Rng graph_rng = sweep_stream(config.master_seed, p, t, 0);
+      rec.gen_thread = Executor::timing_slot();
+      rec.gen_t_start = sweep_timer.seconds();
+      shared.push_back(point.graph(graph_rng));
+      rec.gen_t_end = sweep_timer.seconds();
     }
 
     const auto to_run = std::count(mask.begin(), mask.end(), std::uint8_t{1});
@@ -295,7 +261,6 @@ SweepResult run_sweep(const std::string& name,
           open[s] = 0;
       }
     }
-    done[p] = done_p;
   };
 
   const std::vector<std::size_t> order = submission_order(points);
@@ -315,7 +280,6 @@ SweepResult run_sweep(const std::string& name,
   out.max_trials = config.max_trials;
   out.ci_rel_target = adaptive ? config.ci_rel_target : 0.0;
   out.threads = config.threads;
-  out.reuse_graph = config.reuse_graph;
   out.pinned = Executor::pinning_enabled();
   out.wall_seconds = sweep_timer.seconds();
   out.points.reserve(points.size());
@@ -326,14 +290,13 @@ SweepResult run_sweep(const std::string& name,
     pr.params = point.params;
     pr.series.resize(point.series.size());
     for (const UnitRecord& rec : records[p]) {
-      pr.gen_seconds += rec.gen_seconds;
+      pr.gen_seconds += rec.gen_t_end - rec.gen_t_start;
       for (std::size_t s = 0; s < point.series.size(); ++s) {
         const SeriesCell& cell = rec.cells[s];
         if (!cell.ran) continue;
-        pr.gen_seconds += cell.gen_seconds;
         SweepSeriesResult& sr = pr.series[s];
         sr.samples.push_back(cell.value);
-        sr.walk_seconds += cell.walk_seconds;
+        sr.walk_seconds += cell.t_end - cell.t_start;
         if (!cell.covered) ++sr.uncovered_trials;
       }
     }
@@ -406,8 +369,7 @@ SweepResult run_sweep(const std::string& name,
   };
   for (const auto& point_records : records) {
     for (const UnitRecord& rec : point_records) {
-      if (rec.gen_t_end > rec.gen_t_start)
-        add_busy(rec.gen_thread, rec.gen_t_start, rec.gen_t_end);
+      add_busy(rec.gen_thread, rec.gen_t_start, rec.gen_t_end);
       for (const SeriesCell& cell : rec.cells) {
         if (!cell.ran) continue;
         add_busy(cell.thread, cell.t_start, cell.t_end);

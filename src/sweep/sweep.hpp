@@ -3,7 +3,12 @@
 //
 // A sweep is a grid of SweepPoints (e.g. Figure 1's degree × size grid);
 // each point names a graph factory and one or more measured series (process
-// + cover target). run_sweep submits one task per point to the work-stealing
+// + cover target). Each (point, trial) unit builds one graph and runs every
+// series of the point on it — the head-to-head comparison (SRW vs E-process
+// on the *same* instance) Figure-1 style plots want, at one generation per
+// trial however many series the point has. A series' trials run through
+// TrialTarget::run (covertime/experiment.hpp), the bundle runner every
+// harness shares. run_sweep submits one task per point to the work-stealing
 // Executor — largest expected cost first, so the big-n point starts first
 // instead of last — and each point task fans its (point, trial) units out as
 // nested TaskScope subtasks (and a multi-series unit fans its series out one
@@ -31,13 +36,6 @@
 // are therefore bit-identical across --threads 1 / 4 / hardware, and any
 // common trial prefix is bit-identical between fixed and adaptive runs
 // (pinned by tests/sweep_test.cpp); only the wall-clock fields vary.
-//
-// Graph reuse: with SweepConfig::reuse_graph (the default) the unit builds
-// one graph per (point, trial) and runs every series of the point on it —
-// for a 3-series point that is 3× less generation work, and the head-to-head
-// comparison (SRW vs E-process on the *same* instance) is what Figure-1
-// style plots want. With reuse off each series draws an independent graph
-// from its own stream.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +67,7 @@ struct SweepParam {
 struct SweepPoint {
   std::string label;                    ///< human-readable point id, e.g. "d3-n100000"
   std::vector<SweepParam> params;       ///< machine-readable coordinates
-  GraphFactory graph;                   ///< fresh graph per trial (see reuse_graph)
+  GraphFactory graph;                   ///< fresh graph per trial, shared by the series
   std::vector<SweepSeriesSpec> series;  ///< processes measured on this point
   std::uint64_t max_steps = 0;          ///< 0 = default_step_budget(g)
 };
@@ -79,7 +77,6 @@ struct SweepConfig {
   std::uint32_t trials = 5;       ///< trials per point — the floor in adaptive mode (the paper used 5)
   std::uint32_t threads = 0;      ///< parallelism cap; 0 = hardware concurrency
   std::uint64_t master_seed = 1;  ///< root of every derived stream
-  bool reuse_graph = true;        ///< one graph per (point, trial) shared by all series
   /// Adaptive-trials cap: 0 keeps the fixed `trials`-per-series behaviour;
   /// > 0 lets each (point, series) accrue trials past the `trials` floor —
   /// in deterministic barrier rounds — until its CI is narrow enough (see
@@ -109,7 +106,7 @@ struct SweepSeriesResult {
   std::uint32_t uncovered_trials = 0;    ///< trials clamped to the budget
   std::uint32_t trials_used = 0;         ///< trials actually run (== samples.size())
   double ci_rel_width = 0.0;             ///< final 95% CI half-width / |mean| (0 when mean is 0)
-  double walk_seconds = 0.0;             ///< walking wall time, summed over trials
+  double walk_seconds = 0.0;             ///< walk wall time incl. process builds, summed over bundles
 };
 
 /// All series results at one point.
@@ -140,9 +137,8 @@ struct SweepResult {
   std::uint32_t max_trials = 0;        ///< adaptive cap as configured (0 = fixed trials)
   double ci_rel_target = 0.0;          ///< adaptive CI target (0 when fixed)
   std::uint32_t threads = 0;           ///< configured parallelism (0 = hardware)
-  bool reuse_graph = true;             ///< whether series shared per-trial graphs
   double gen_seconds = 0.0;            ///< total graph-generation wall time (CPU-side, summed over tasks)
-  double walk_seconds = 0.0;           ///< total walking wall time (summed over tasks)
+  double walk_seconds = 0.0;           ///< total walk wall time incl. process builds (summed over tasks)
   double wall_seconds = 0.0;           ///< elapsed wall time of the whole sweep
   bool pinned = false;                 ///< worker affinity pinning was active
   std::uint32_t unit_count = 0;        ///< (point, trial) units executed
@@ -156,8 +152,8 @@ struct SweepResult {
 /// Derives the rng stream for (point, trial, role) from the master seed —
 /// a pure function of its arguments, so neither the pool thread a unit runs
 /// on nor the adaptive trial count can ever change a sample. Roles: 0 = the
-/// shared per-(point, trial) graph stream; 2s+1 = the walk stream of series
-/// s; 2s+2 = the private graph stream of series s when reuse is off.
+/// per-(point, trial) graph stream; 2s+1 = the walk stream of series s
+/// (its process's construction-time draws, then the walk).
 Rng sweep_stream(std::uint64_t master_seed, std::uint64_t point,
                  std::uint64_t trial, std::uint64_t role);
 

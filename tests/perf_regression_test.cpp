@@ -36,6 +36,7 @@
 #include "interact/coalescing.hpp"
 #include "interact/herman.hpp"
 #include "interact/token_system.hpp"
+#include "sweep/sweep.hpp"
 #include "util/rng.hpp"
 #include "walks/eprocess.hpp"
 #include "walks/multi_eprocess.hpp"
@@ -309,6 +310,52 @@ std::uint64_t measure_coalescence_samples(std::uint32_t threads) {
   return h.h;
 }
 
+// A sweep exercising every path of its trial loop: two series per point on
+// random regular graphs (SRW to vertex cover, E-process to edge cover),
+// adaptive rounds past the floor, bundles of two trials, and a step budget
+// that leaves some trials uncovered (clamped to the budget).
+std::uint64_t sweep_samples(std::uint32_t threads) {
+  std::vector<SweepPoint> points;
+  for (const Vertex n : {40, 80}) {
+    SweepPoint point;
+    point.label = "n" + std::to_string(n);
+    point.params = {{"n", static_cast<double>(n)}};
+    point.graph = [n](Rng& rng) {
+      return random_regular_pairing_connected(n, 4, rng);
+    };
+    point.series = {
+        SweepSeriesSpec{"srw",
+                        [](const Graph& g, Rng&) -> std::unique_ptr<WalkProcess> {
+                          return std::make_unique<SimpleRandomWalk>(g, 0);
+                        },
+                        CoverTarget::kVertices},
+        SweepSeriesSpec{"eprocess",
+                        [](const Graph& g, Rng& rng) -> std::unique_ptr<WalkProcess> {
+                          return std::make_unique<EProcessHandle>(
+                              g, 0, make_rule("uniform", g, rng));
+                        },
+                        CoverTarget::kEdges}};
+    point.max_steps = 600;
+    points.push_back(std::move(point));
+  }
+  SweepConfig config;
+  config.trials = 3;
+  config.threads = threads;
+  config.master_seed = 31337;
+  config.max_trials = 8;
+  config.ci_rel_target = 1e-9;  // never met: every series runs to the cap
+  config.bundle_width = 2;
+  const SweepResult result = run_sweep("golden", points, config);
+  Hasher h;
+  for (const SweepPointResult& point : result.points)
+    for (const SweepSeriesResult& series : point.series) {
+      h.mix(hash_samples(series.samples));
+      h.mix(series.uncovered_trials);
+      h.mix(series.trials_used);
+    }
+  return h.h;
+}
+
 // ---- Golden constants (produced by the pre-optimisation implementation) ---
 
 constexpr std::uint64_t kGoldenEProcessUniform = 0x54BE81FDB047691AULL;
@@ -327,6 +374,8 @@ constexpr std::uint64_t kGoldenLargeEProcessCover = 0xC70D62065207C99FULL;
 constexpr std::uint64_t kGoldenLargeSrw = 0x7049C85430AF0013ULL;
 // Recorded before the four token classes' state moved into TokenProcess.
 constexpr std::uint64_t kGoldenTokenProcesses = 0x31C4488CA9A9FEABULL;
+// Recorded before the sweep's series moved onto TrialTarget's bundle runner.
+constexpr std::uint64_t kGoldenSweep = 0x6A89AAF42173C62DULL;
 
 constexpr std::uint64_t kTrajectorySteps = 6000;
 
@@ -365,6 +414,8 @@ int main() {
               (unsigned long long)large_srw_trajectory());
   std::printf("kGoldenTokenProcesses      0x%016llXULL\n",
               (unsigned long long)token_processes_trajectory(kTrajectorySteps));
+  std::printf("kGoldenSweep               0x%016llXULL\n",
+              (unsigned long long)sweep_samples(4));
   return 0;
 }
 
@@ -421,6 +472,11 @@ TEST(StreamIdentity, MeasureCoverSamplesMatchGoldenOnThreadPool) {
 
 TEST(StreamIdentity, MeasureCoalescenceSamplesMatchGoldenOnThreadPool) {
   EXPECT_EQ(measure_coalescence_samples(4), kGoldenMeasureCoalescence);
+}
+
+TEST(StreamIdentity, SweepSamplesMatchGolden) {
+  EXPECT_EQ(sweep_samples(4), kGoldenSweep);
+  EXPECT_EQ(sweep_samples(1), kGoldenSweep);
 }
 
 TEST(StreamIdentity, EProcessCoverAboveHugePageThresholdMatchesGolden) {

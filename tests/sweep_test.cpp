@@ -1,8 +1,9 @@
 // Tests for the sweep subsystem (src/sweep/): the SweepDriver's scheduling
 // invariants — samples must be a pure function of (master_seed, point,
-// trial), never of thread count or scheduling — plus the graph-reuse
-// semantics, budget clamping, stream derivation, and the SWEEP_*.json /
-// CSV emission CI validates.
+// trial), never of thread count, bundle width or scheduling — plus the
+// one-graph-per-trial sharing across series, budget clamping, stream
+// derivation, and the SWEEP_*.json / CSV emission CI validates. Absolute
+// sweep samples are pinned by kGoldenSweep in perf_regression_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -79,9 +80,11 @@ TEST(SweepStream, PureFunctionOfIndices) {
   EXPECT_NE(sweep_stream(1, 2, 3, 4)(), sweep_stream(1, 3, 3, 4)());
   EXPECT_NE(sweep_stream(1, 2, 3, 4)(), sweep_stream(1, 2, 4, 4)());
   EXPECT_NE(sweep_stream(1, 2, 3, 4)(), sweep_stream(1, 2, 3, 5)());
-  // The roles a unit actually uses must be pairwise distinct streams.
+  // The roles a unit actually uses (the graph, series 0 and series 1) must
+  // be pairwise distinct streams.
   EXPECT_NE(sweep_stream(7, 0, 0, 0)(), sweep_stream(7, 0, 0, 1)());
-  EXPECT_NE(sweep_stream(7, 0, 0, 1)(), sweep_stream(7, 0, 0, 2)());
+  EXPECT_NE(sweep_stream(7, 0, 0, 0)(), sweep_stream(7, 0, 0, 3)());
+  EXPECT_NE(sweep_stream(7, 0, 0, 1)(), sweep_stream(7, 0, 0, 3)());
 }
 
 TEST(SweepDriver, SamplesInvariantAcrossThreadCounts) {
@@ -103,7 +106,7 @@ TEST(SweepDriver, SamplesInvariantAcrossThreadCounts) {
 }
 
 TEST(SweepDriver, ReuseSharesOneInstanceAcrossSeries) {
-  // With reuse both series see the same graph: on a cycle the E-process
+  // Both series see the trial's one graph: on a cycle the E-process
   // covers n vertices in exactly n-1 steps regardless, so compare through
   // the SRW whose cover time is graph-shape sensitive — identical samples
   // between a one-series and a two-series sweep prove the srw series'
@@ -129,18 +132,6 @@ TEST(SweepDriver, ReuseSharesOneInstanceAcrossSeries) {
   // E-process on a cycle: vertex cover after exactly n-1 blue steps.
   for (const double v : with_both.points[0].series[1].samples)
     EXPECT_EQ(v, 79.0);
-}
-
-TEST(SweepDriver, IndependentGraphsModeIsAlsoThreadInvariant) {
-  SweepConfig config;
-  config.trials = 3;
-  config.master_seed = 17;
-  config.reuse_graph = false;
-  config.threads = 1;
-  const auto serial = all_samples(run_sweep("t", small_points(), config));
-  config.threads = 4;
-  const auto parallel = all_samples(run_sweep("t", small_points(), config));
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(SweepDriver, BudgetClampsAndCountsUncoveredTrials) {
@@ -269,9 +260,9 @@ TEST(SweepAdaptive, SamplesInvariantAcrossThreadCountsAndPrefixFixedRun) {
 TEST(SweepDriver, SamplesInvariantAcrossBundleWidths) {
   // Bundling (engine/bundle.hpp) interleaves several trials of a unit in
   // one task to hide DRAM latency; it must be pure scheduling. Every
-  // (width, threads, reuse) combination must reproduce the width-1 samples
-  // bit for bit — each trial keeps its own sweep_stream-derived streams and
-  // its sequential check schedule regardless of bundling.
+  // (width, threads) combination must reproduce the width-1 samples bit for
+  // bit — each trial keeps its own sweep_stream-derived streams and its
+  // sequential check schedule regardless of bundling.
   SweepConfig config;
   config.trials = 4;
   config.master_seed = 99;
@@ -280,29 +271,16 @@ TEST(SweepDriver, SamplesInvariantAcrossBundleWidths) {
   const auto reference = all_samples(run_sweep("t", small_points(), config));
   ASSERT_EQ(reference.size(), 4u);
 
-  for (const bool reuse : {true, false}) {
-    for (const std::uint32_t width : {2u, 4u, 8u}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        SweepConfig bundled;
-        bundled.trials = 4;
-        bundled.master_seed = 99;
-        bundled.reuse_graph = reuse;
-        bundled.bundle_width = width;
-        bundled.threads = threads;
-        SweepConfig plain = bundled;
-        plain.bundle_width = 1;
-        EXPECT_EQ(all_samples(run_sweep("t", small_points(), bundled)),
-                  all_samples(run_sweep("t", small_points(), plain)))
-            << "width " << width << ", threads " << threads << ", reuse "
-            << reuse;
-      }
+  for (const std::uint32_t width : {2u, 4u, 8u}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SweepConfig bundled = config;
+      bundled.bundle_width = width;
+      bundled.threads = threads;
+      EXPECT_EQ(all_samples(run_sweep("t", small_points(), bundled)),
+                reference)
+          << "width " << width << ", threads " << threads;
     }
   }
-  // reuse defaults on: the width-1 reuse samples are the reference above.
-  SweepConfig wide = config;
-  wide.bundle_width = 8;
-  wide.threads = 4;
-  EXPECT_EQ(all_samples(run_sweep("t", small_points(), wide)), reference);
 }
 
 TEST(SweepAdaptive, AdaptiveScheduleInvariantAcrossBundleWidths) {

@@ -98,9 +98,20 @@ int run_cli_sweep(const RunRequest& req, const ParamMap& flags) {
         "' is not parameterised by --n (use e.g. regular, regular-pairing, "
         "cycle, complete, hamunion, erdosrenyi, geometric)");
 
-  if (req.target == RunTarget::kCoalescence)
-    throw std::invalid_argument("--sweep supports --target vertices|edges");
-  const bool edges = req.target == RunTarget::kEdges;
+  // The target resolves as in a single run; a sweep measures cover times,
+  // so the coalescence default of a token process needs an explicit
+  // cover target.
+  const RunTarget resolved = resolve_run_target(
+      req.target, ProcessRegistry::instance().at(req.process));
+  if (resolved == RunTarget::kCoalescence)
+    throw std::invalid_argument(
+        req.target == RunTarget::kAuto
+            ? "--sweep measures cover times, and token process '" +
+                  req.process +
+                  "' defaults to --target coalescence: pass --target "
+                  "vertices|edges"
+            : "--sweep supports --target vertices|edges");
+  const bool edges = resolved == RunTarget::kEdges;
   const char* target = edges ? "edges" : "vertices";
 
   std::vector<SweepPoint> points;

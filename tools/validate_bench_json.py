@@ -18,7 +18,9 @@ dispatched on the top-level tag:
     observability fields (top-level "pin", "unit_count",
     "unit_seconds_min"/"unit_seconds_max", "timeline_bucket_seconds", and
     the per-thread "thread_timeline" throughput-over-time series). Older
-    version 1/2 files from existing artifacts are still accepted.
+    version 1/2 files from existing artifacts are still accepted. Top-level
+    keys no version requires are ignored, so files that still carry the
+    flag of the sweep's former independent-graphs mode keep passing.
 
 Usage: validate_bench_json.py FILE [FILE...]
        validate_bench_json.py --self-test
@@ -72,7 +74,7 @@ def validate_sweep(path, d):
     version = d.get("version")
     if version not in (1, 2, 3):
         fail(path, f"unexpected version {version}")
-    required = ["sweep", "seed", "trials", "threads", "reuse_graph",
+    required = ["sweep", "seed", "trials", "threads",
                 "gen_seconds", "walk_seconds", "wall_seconds", "points"]
     if version >= 2:
         required += ["max_trials", "ci_rel_target"]
@@ -198,7 +200,7 @@ def _sample_sweep():
                        "series": [series("pcf-eprocess", 1),
                                   series("pcf-srw", 2)]})
     return {"sweep": "pcf", "version": 3, "points": points, "seed": 1, "trials": 3,
-            "threads": 4, "reuse_graph": False, "gen_seconds": 0.3,
+            "threads": 4, "gen_seconds": 0.3,
             "walk_seconds": 7.5, "wall_seconds": 2.1, "max_trials": 0,
             "ci_rel_target": 0.05, "pin": False, "unit_count": 18,
             "unit_seconds_min": 0.01, "unit_seconds_max": 0.9,
@@ -219,6 +221,11 @@ def _expect_fail(doc, validator, label):
 def self_test():
     validate_throughput("<throughput sample>", _sample_throughput())
     validate_sweep("<pcf sweep sample>", _sample_sweep())
+    for version in (1, 2, 3):
+        d = _sample_sweep()
+        d["version"] = version
+        d["legacy_flag"] = True  # a key older writers emitted, now dropped
+        validate_sweep(f"<v{version} sweep sample with a legacy key>", d)
 
     d = _sample_throughput()
     d["results"][0]["steps"] = 0
@@ -248,7 +255,8 @@ def self_test():
     s["uncovered_trials"] = s["trials_used"] + 1
     _expect_fail(d, validate_sweep, "sweep: uncovered > trials_used")
 
-    print("self-test OK (2 formats accepted, 6 corruptions rejected)")
+    print("self-test OK (2 formats and 3 legacy sweeps accepted, "
+          "6 corruptions rejected)")
 
 
 def main(argv):
