@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "covertime/experiment.hpp"
@@ -42,6 +43,7 @@
 #include "walks/multi_eprocess.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
+#include "walks/weighted.hpp"
 
 namespace ewalk {
 namespace {
@@ -189,6 +191,41 @@ std::uint64_t srw_trajectory(std::uint64_t steps) {
     walk.step(rng);
     h.mix(walk.current());
   }
+  return h.h;
+}
+
+// The single-walker baselines besides plain SRW: six registry entries, then
+// a weighted walk with non-unit weights, each for `steps` steps: per-step
+// current(), then the vertex cover step, edges covered, steps() and the
+// next rng draw. Pins the position, step and cover bookkeeping they share.
+std::uint64_t single_walkers_trajectory(std::uint64_t steps) {
+  const Graph g = messy_multigraph();
+  Hasher h;
+  const auto run = [&](WalkProcess& p, Rng& rng) {
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      p.step(rng);
+      h.mix(p.current());
+    }
+    h.mix(p.cover().vertex_cover_step());
+    h.mix(p.cover().edges_covered());
+    h.mix(p.steps());
+    h.mix(rng.next_u64());
+  };
+  const std::pair<const char*, ParamMap> entries[] = {
+      {"rotor", {}},     {"vertexwalk", {}}, {"rwc", {{"d", "3"}}},
+      {"leastused", {}}, {"oldest", {}},     {"srw", {{"lazy", "true"}}},
+  };
+  std::uint64_t seed = 3101;
+  for (const auto& [name, params] : entries) {
+    Rng rng(seed++);
+    auto walk = ProcessRegistry::instance().create(name, g, params, rng);
+    run(*walk, rng);
+  }
+  std::vector<double> weights(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) weights[e] = 1.0 + (e % 5) * 0.75;
+  Rng rng(seed);
+  WeightedRandomWalk walk(g, 0, weights);
+  run(walk, rng);
   return h.h;
 }
 
@@ -376,6 +413,8 @@ constexpr std::uint64_t kGoldenLargeSrw = 0x7049C85430AF0013ULL;
 constexpr std::uint64_t kGoldenTokenProcesses = 0x31C4488CA9A9FEABULL;
 // Recorded before the sweep's series moved onto TrialTarget's bundle runner.
 constexpr std::uint64_t kGoldenSweep = 0x6A89AAF42173C62DULL;
+// Recorded before the six single-walker classes moved onto SingleWalk.
+constexpr std::uint64_t kGoldenSingleWalkers = 0x3D2F826CFB471586ULL;
 
 constexpr std::uint64_t kTrajectorySteps = 6000;
 
@@ -416,6 +455,8 @@ int main() {
               (unsigned long long)token_processes_trajectory(kTrajectorySteps));
   std::printf("kGoldenSweep               0x%016llXULL\n",
               (unsigned long long)sweep_samples(4));
+  std::printf("kGoldenSingleWalkers       0x%016llXULL\n",
+              (unsigned long long)single_walkers_trajectory(kTrajectorySteps));
   return 0;
 }
 
@@ -456,6 +497,10 @@ TEST(StreamIdentity, TokenProcessesMatchGolden) {
 
 TEST(StreamIdentity, SrwOnMultigraphMatchesGolden) {
   EXPECT_EQ(srw_trajectory(kTrajectorySteps), kGoldenSrw);
+}
+
+TEST(StreamIdentity, SingleWalkersMatchGolden) {
+  EXPECT_EQ(single_walkers_trajectory(kTrajectorySteps), kGoldenSingleWalkers);
 }
 
 TEST(StreamIdentity, HermanStabilisationMatchesGolden) {
