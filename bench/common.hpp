@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -22,22 +23,47 @@
 namespace ewalk::bench {
 
 struct BenchConfig {
-  std::uint32_t trials = 5;     ///< the paper averaged 5 experiments/point
-  std::uint32_t threads = 0;    ///< resolved thread count (never 0 after parse)
-  std::uint64_t seed = 1;
-  bool full = false;            ///< paper-scale sizes (n up to 5*10^5)
+  std::uint32_t trials;   ///< the paper averaged 5 experiments/point
+  std::uint32_t threads;  ///< resolved thread count (never 0 after parse)
+  std::uint64_t seed;
+  bool full;              ///< paper-scale sizes (n up to 5*10^5)
+  ParamMap flags;         ///< every flag as given, the bench's own included
 };
 
-// --threads defaults to 0 (all hardware threads) here; see
-// resolve_cli_threads for the shared --threads / --pin semantics.
-inline BenchConfig parse_config(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  BenchConfig cfg;
-  cfg.trials = static_cast<std::uint32_t>(cli.get_int("trials", cfg.trials));
-  cfg.threads = resolve_cli_threads(cli, /*default_threads=*/0);
-  cfg.seed = cli.get_u64("seed", cfg.seed);
-  cfg.full = cli.get_bool("full", false);
-  return cfg;
+/// The flags every sweep-style bench reads. --threads defaults to 0 (all
+/// hardware threads) here; see resolve_cli_threads for the shared
+/// --threads / --pin semantics.
+inline const ParamSchema& common_flags() {
+  static const ParamSchema flags = {
+      {"trials", ParamType::kU32, "5", {}, "trials per point"},
+      {"threads", ParamType::kU32, "0", {}, "worker threads (0 = all hardware)"},
+      {"pin", ParamType::kBool, "false", {}, "pin scheduler workers to CPUs (Linux)"},
+      {"seed", ParamType::kU64, "1", {}, "master seed"},
+      {"full", ParamType::kBool, "false", {}, "paper-scale sizes"},
+  };
+  return flags;
+}
+
+/// --generator of the regular-graph sweep benches (see regular_generator).
+inline const ParamSpec kGeneratorFlag{"generator", ParamType::kString, "pairing",
+                                      {}, "regular-graph generator: pairing or sw"};
+
+/// Parses argv against common_flags() and the bench's own `extra` flags.
+/// An undeclared flag, a bad value or a stray word prints "error: ..." on
+/// stderr and exits 1 before the bench prints anything.
+inline BenchConfig parse_config(int argc, char** argv,
+                                const ParamSchema& extra = {}) {
+  try {
+    const Cli cli(argc, argv);
+    cli.check({&common_flags(), &extra});
+    const ParamMap common = cli.with_defaults(common_flags());
+    return BenchConfig{static_cast<std::uint32_t>(common.get_u64("trials")),
+                       resolve_cli_threads(cli, /*default_threads=*/0),
+                       common.get_u64("seed"), common.get_bool("full"), cli};
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "error: %s\n", ex.what());
+    std::exit(1);
+  }
 }
 
 /// Opens bench_out/<name>.csv (creating the directory if needed).
@@ -60,11 +86,12 @@ inline GraphFactory regular_factory(const std::string& generator, Vertex n,
                               generator);
 }
 
-/// The --generator flag of the regular-graph sweep benches ("pairing" by
-/// default), rejected by regular_factory's own check when unknown. Benches
-/// read it before printing anything, so a bad name fails with no output.
-inline std::string regular_generator(const Cli& cli) {
-  std::string generator = cli.get("generator", "pairing");
+/// The --generator flag of the regular-graph sweep benches (kGeneratorFlag,
+/// "pairing" by default), rejected by regular_factory's own check when
+/// unknown. Benches read it before printing anything, so a bad name fails
+/// with no output.
+inline std::string regular_generator(const ParamMap& flags) {
+  std::string generator = flags.get("generator", kGeneratorFlag.fallback);
   regular_factory(generator, 0, 0);
   return generator;
 }

@@ -106,9 +106,18 @@ int run_gen_only(const bench::BenchConfig& cfg, const std::string& generator,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const Cli cli(argc, argv);
-  const auto cfg = bench::parse_config(argc, argv);
-  const std::string generator = bench::regular_generator(cli);
+  const auto cfg = bench::parse_config(
+      argc, argv,
+      {bench::kGeneratorFlag,
+       {"ns", ParamType::kString, "", {}, "vertex counts n1,n2,..."},
+       {"degrees", ParamType::kString, "", {}, "degrees d1,d2,..."},
+       {"max-trials", ParamType::kU32, "", {}, "adaptive trial cap (0 = off)"},
+       {"ci-width", ParamType::kDouble, "", {}, "adaptive target CI width"},
+       {"bundle", ParamType::kU32, "", {}, "trials interleaved per task"},
+       {"gen-only", ParamType::kBool, "", {}, "time generation only"},
+       {"assert-no-gen-bfs", ParamType::kBool, "", {},
+        "gen-only: fail if generation ran a BFS"}});
+  const std::string generator = bench::regular_generator(cfg.flags);
   bench::print_header(
       "Figure 1: normalised E-process vertex cover time on d-regular graphs",
       "even d flat; odd d ~ c n ln n, c = 0.93 / 0.41 / 0.38 for d = 3/5/7");
@@ -117,12 +126,13 @@ int main(int argc, char** argv) try {
       cfg.full ? std::vector<std::uint64_t>{100000, 200000, 300000, 400000, 500000}
                : std::vector<std::uint64_t>{25000, 50000, 100000, 200000};
   std::vector<std::uint64_t> degrees{3, 4, 5, 6, 7};
-  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
-  if (cli.has("degrees")) degrees = parse_u64_list("degrees", cli.get("degrees", ""));
+  if (cfg.flags.has("ns")) ns = parse_u64_list("ns", cfg.flags.get("ns", ""));
+  if (cfg.flags.has("degrees"))
+    degrees = parse_u64_list("degrees", cfg.flags.get("degrees", ""));
 
-  if (cli.get_bool("gen-only", false))
+  if (cfg.flags.get_bool("gen-only", false))
     return run_gen_only(cfg, generator, degrees, ns,
-                        cli.get_bool("assert-no-gen-bfs", false));
+                        cfg.flags.get_bool("assert-no-gen-bfs", false));
 
   std::vector<SweepPoint> points;
   for (const std::uint64_t d : degrees) {
@@ -148,9 +158,9 @@ int main(int argc, char** argv) try {
   sc.trials = cfg.trials;
   sc.threads = cfg.threads;
   sc.master_seed = cfg.seed;
-  sc.max_trials = static_cast<std::uint32_t>(cli.get_u64("max-trials", 0));
-  sc.ci_rel_target = cli.get_double("ci-width", sc.ci_rel_target);
-  sc.bundle_width = static_cast<std::uint32_t>(cli.get_u64("bundle", 1));
+  sc.max_trials = static_cast<std::uint32_t>(cfg.flags.get_u64("max-trials", 0));
+  sc.ci_rel_target = cfg.flags.get_double("ci-width", sc.ci_rel_target);
+  sc.bundle_width = static_cast<std::uint32_t>(cfg.flags.get_u64("bundle", 1));
   const SweepResult result = run_sweep("fig1_eprocess_regular", points, sc);
 
   std::printf("generator: %s\n", generator.c_str());

@@ -21,16 +21,19 @@
 using namespace ewalk;
 
 int main(int argc, char** argv) try {
-  const Cli cli(argc, argv);
-  const auto cfg = bench::parse_config(argc, argv);
-  const std::string generator = bench::regular_generator(cli);
+  const auto cfg = bench::parse_config(
+      argc, argv,
+      {bench::kGeneratorFlag,
+       {"walkers", ParamType::kString, "", {}, "walker counts k1,k2,..."}});
+  const std::string generator = bench::regular_generator(cfg.flags);
   bench::print_header(
       "Multi-walker E-process scaling on 4-regular expanders",
       "extension: k walkers, shared blue/red state, round-robin system steps");
 
   const Vertex n = cfg.full ? 200000 : 50000;
   std::vector<std::uint64_t> ks{1, 2, 4, 8, 16};
-  if (cli.has("walkers")) ks = parse_u64_list("walkers", cli.get("walkers", ""));
+  if (cfg.flags.has("walkers"))
+    ks = parse_u64_list("walkers", cfg.flags.get("walkers", ""));
 
   std::vector<SweepPoint> points;
   for (const std::uint64_t k : ks) {

@@ -61,9 +61,12 @@ ProcessFactory pcf_factory(double alpha) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const Cli cli(argc, argv);
-  const auto cfg = bench::parse_config(argc, argv);
-  const std::string generator = bench::regular_generator(cli);
+  const auto cfg = bench::parse_config(
+      argc, argv,
+      {bench::kGeneratorFlag,
+       {"ns", ParamType::kString, "", {}, "vertex counts n1,n2,..."},
+       {"alphas", ParamType::kString, "", {}, "freeze rates a1,a2,..."}});
+  const std::string generator = bench::regular_generator(cfg.flags);
   bench::print_header(
       "E-process vs SRW vertex cover on PCF-evolving graphs (4-regular base)",
       "edges open at rate 1, components freeze at rate alpha; dt = 1/n");
@@ -71,9 +74,10 @@ int main(int argc, char** argv) try {
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{10000, 20000, 40000}
                : std::vector<std::uint64_t>{2000, 5000};
-  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
+  if (cfg.flags.has("ns")) ns = parse_u64_list("ns", cfg.flags.get("ns", ""));
   std::vector<double> alphas{0.0001, 0.001, 0.01};
-  if (cli.has("alphas")) alphas = parse_double_list(cli.get("alphas", ""));
+  if (cfg.flags.has("alphas"))
+    alphas = parse_double_list(cfg.flags.get("alphas", ""));
   constexpr std::uint32_t kDegree = 4;
 
   std::vector<SweepPoint> points;

@@ -29,9 +29,11 @@
 using namespace ewalk;
 
 int main(int argc, char** argv) try {
-  const Cli cli(argc, argv);
-  const auto cfg = bench::parse_config(argc, argv);
-  const std::string generator = bench::regular_generator(cli);
+  const auto cfg = bench::parse_config(
+      argc, argv,
+      {bench::kGeneratorFlag,
+       {"ns", ParamType::kString, "", {}, "vertex counts n1,n2,..."}});
+  const std::string generator = bench::regular_generator(cfg.flags);
   bench::print_header(
       "SRW vs weighted walk vs E-process vertex cover (r-regular, r even)",
       "C_V(E) = Theta(n); C_V(any reversible walk) >= (n/4) log(n/2)");
@@ -39,7 +41,7 @@ int main(int argc, char** argv) try {
   std::vector<std::uint64_t> ns =
       cfg.full ? std::vector<std::uint64_t>{20000, 40000, 80000, 160000}
                : std::vector<std::uint64_t>{5000, 10000, 20000, 40000};
-  if (cli.has("ns")) ns = parse_u64_list("ns", cli.get("ns", ""));
+  if (cfg.flags.has("ns")) ns = parse_u64_list("ns", cfg.flags.get("ns", ""));
   const std::vector<std::uint64_t> degrees{4, 6};
 
   std::vector<SweepPoint> points;

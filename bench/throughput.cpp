@@ -50,6 +50,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <span>
 #include <string>
@@ -192,10 +193,26 @@ bool write_json(const std::string& path, bool quick, std::uint64_t seed,
   return true;
 }
 
+// Every flag this bench reads; any other is an error.
+const ParamSchema& throughput_flags() {
+  static const ParamSchema flags = {
+      {"quick", ParamType::kBool, "", {}, "CI sizes"},
+      {"steps", ParamType::kU64, "", {}, "steps per pair"},
+      {"seed", ParamType::kU64, "", {}, "master seed"},
+      {"chunk", ParamType::kU64, "", {}, "trial-kernel check stride"},
+      {"bundle", ParamType::kString, "", {}, "latency-tier bundle widths W1,W2,..."},
+      {"latency-n", ParamType::kU32, "", {}, "latency-tier vertex count"},
+      {"latency-steps", ParamType::kU64, "", {}, "latency-tier steps per walk"},
+      {"latency-reps", ParamType::kU64, "", {}, "latency-tier best-of-R"},
+  };
+  return flags;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
+  cli.check({&throughput_flags()});
   const bool quick = cli.get_bool("quick", false);
   const std::uint64_t seed = cli.get_u64("seed", 1);
   const std::uint64_t chunk = cli.get_u64("chunk", 4096);
@@ -290,4 +307,7 @@ int main(int argc, char** argv) {
   if (!write_json("bench_out/BENCH_throughput.json", quick, seed, chunk, results))
     return 1;
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "error: %s\n", ex.what());
+  return 1;
 }

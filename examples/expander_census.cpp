@@ -8,6 +8,7 @@
 //   $ ./expander_census [--seed 3] [--trials 3]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "analysis/ell_good.hpp"
 #include "analysis/girth.hpp"
@@ -54,7 +55,7 @@ void census(const char* name, const Graph& g, std::uint32_t trials,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ewalk;
   const Cli cli(argc, argv);
   const std::uint64_t seed = cli.get_u64("seed", 3);
@@ -78,4 +79,7 @@ int main(int argc, char** argv) {
       "so the Theorem-1 shape is Theta(n) and the measured cover matches; the\n"
       "torus has vanishing gap — Theorem 1's hypothesis fails and cover grows.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "error: %s\n", ex.what());
+  return 1;
 }

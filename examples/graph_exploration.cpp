@@ -9,6 +9,7 @@
 //
 //   $ ./graph_exploration [--n 20000] [--r 6] [--seed 7]
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -54,7 +55,7 @@ class StarveFreshVerticesRule final : public UnvisitedEdgeRule {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ewalk;
   const Cli cli(argc, argv);
   const Vertex n = static_cast<Vertex>(cli.get_int("n", 20000));
@@ -95,4 +96,7 @@ int main(int argc, char** argv) {
       "\nreading: every rule — including the two adversaries — lands within a\n"
       "constant factor of n, as Theorem 1 promises for even-degree expanders.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "error: %s\n", ex.what());
+  return 1;
 }

@@ -17,6 +17,7 @@
 //   $ ./network_patrol [--n 5000] [--rings 2] [--sweeps 4] [--seed 1]
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "engine/driver.hpp"
@@ -51,7 +52,7 @@ std::uint64_t max_revisit_gap(const Graph& g, StepFn&& stepper, std::uint64_t ho
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ewalk;
   const Cli cli(argc, argv);
   const Vertex n = static_cast<Vertex>(cli.get_int("n", 5000));
@@ -146,4 +147,7 @@ int main(int argc, char** argv) {
       "exhaustion discovers a new link — sweep ~= m + epsilon); deterministic\n"
       "agents bound the steady-state revisit gap, the SRW does not.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "error: %s\n", ex.what());
+  return 1;
 }

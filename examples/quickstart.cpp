@@ -10,6 +10,7 @@
 //   4. read off the cover time    (walk.cover().vertex_cover_step())
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "engine/driver.hpp"
 #include "graph/generators.hpp"
@@ -18,7 +19,7 @@
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ewalk;
   const Cli cli(argc, argv);
   const Vertex n = static_cast<Vertex>(cli.get_int("n", 20000));
@@ -56,4 +57,7 @@ int main(int argc, char** argv) {
     std::printf("  (odd degree: expect ~c n ln n, see Figure 1 of the paper)\n");
   }
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "error: %s\n", ex.what());
+  return 1;
 }

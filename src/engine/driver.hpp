@@ -8,14 +8,13 @@
 //     dispatch — the hot loop compiles to exactly the old member loop — and
 //   * WalkProcess& (registry-constructed processes) with virtual dispatch.
 //
-// Termination predicates are small callables over the CoverState and
-// compose with all_of / any_of; the step budget is the driver's own
-// termination condition (run_until returns false when it is exhausted
-// before the predicate holds). Expensive predicates (min-visit-count is
-// O(n)) declare a check stride so the driver only evaluates them every
-// `stride` transitions — the same burst pattern the legacy
-// SimpleRandomWalk visit-count loop used, reproducing its step counts
-// exactly.
+// Termination predicates are small callables over the CoverState; the step
+// budget is the driver's own termination condition (run_until returns false
+// when it is exhausted before the predicate holds). Expensive predicates
+// (min-visit-count is O(n)) declare a check stride so the driver only
+// evaluates them every `stride` transitions — the same burst pattern the
+// legacy SimpleRandomWalk visit-count loop used, reproducing its step
+// counts exactly.
 //
 // RNG discipline: the driver makes precisely one step() call per
 // transition and draws nothing from the rng itself, so a process driven by
@@ -25,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
 
 #include "engine/process.hpp"
 #include "util/rng.hpp"
@@ -60,38 +58,6 @@ struct MinVisitCountAtLeast {
     return c.min_visit_count() >= count;
   }
 };
-
-/// Conjunction of predicates: stop when every sub-predicate holds.
-template <typename... Preds>
-struct AllOf {
-  std::tuple<Preds...> preds;  ///< the composed sub-predicates
-  /// True iff every sub-predicate holds on c.
-  bool operator()(const CoverState& c) const {
-    return std::apply([&](const auto&... p) { return (p(c) && ...); }, preds);
-  }
-};
-
-/// Disjunction of predicates: stop as soon as any sub-predicate holds.
-template <typename... Preds>
-struct AnyOf {
-  std::tuple<Preds...> preds;  ///< the composed sub-predicates
-  /// True iff some sub-predicate holds on c.
-  bool operator()(const CoverState& c) const {
-    return std::apply([&](const auto&... p) { return (p(c) || ...); }, preds);
-  }
-};
-
-/// Composes predicates conjunctively: all_of(VertexCovered{}, EdgesCovered{}).
-template <typename... Preds>
-AllOf<Preds...> all_of(Preds... preds) {
-  return AllOf<Preds...>{std::tuple<Preds...>(preds...)};
-}
-
-/// Composes predicates disjunctively: any_of(VertexCovered{}, EdgesCovered{}).
-template <typename... Preds>
-AnyOf<Preds...> any_of(Preds... preds) {
-  return AnyOf<Preds...>{std::tuple<Preds...>(preds...)};
-}
 
 /// Stride at which an O(n) predicate is worth re-checking.
 inline std::uint64_t visit_count_stride(const Graph& g) {

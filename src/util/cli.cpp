@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -9,10 +10,10 @@ namespace ewalk {
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positionals_.push_back(std::move(arg));
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0)
+      throw std::invalid_argument(
+          "unexpected argument: " + arg +
+          " (a flag takes one value: --key value or --key=value)");
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {

@@ -1,15 +1,13 @@
 // Tiny CLI flag parser for bench/example binaries.
 //
 // Accepted forms: --key=value, --key value, and bare --flag (boolean true).
-// Unknown positional arguments are collected in positionals(). Parsed flags
+// Any other word (a second value, `--n 100 200`) is an error. Parsed flags
 // are held in an engine ParamMap, which also supplies the typed getters —
 // one parser implementation serves both surfaces, so `--lazy yes` on the
 // command line and ParamMap{{"lazy", "yes"}} in code cannot disagree.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "engine/params.hpp"
 
@@ -19,13 +17,9 @@ namespace ewalk {
 class Cli : public ParamMap {
  public:
   /// Parses argv. Keys are kept as spelled; a run's alias spellings
-  /// (--walk, --generator) fold in run_request_from_params.
+  /// (--walk, --generator) fold in run_request_from_params. A word that is
+  /// neither a flag nor its value throws std::invalid_argument naming it.
   Cli(int argc, char** argv);
-
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
- private:
-  std::vector<std::string> positionals_;
 };
 
 /// Prints one help line per parameter of `schema`: "--name default", its

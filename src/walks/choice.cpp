@@ -5,26 +5,22 @@
 namespace ewalk {
 
 RandomWalkWithChoice::RandomWalkWithChoice(const Graph& g, Vertex start, std::uint32_t d)
-    : g_(&g), d_(d), current_(start), cover_(g.num_vertices(), g.num_edges()) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("RandomWalkWithChoice: start vertex out of range");
+    : SingleWalk(g, start, "RandomWalkWithChoice"), d_(d) {
   if (d == 0) throw std::invalid_argument("RandomWalkWithChoice: d must be >= 1");
-  cover_.visit_vertex(start, 0);
 }
 
 void RandomWalkWithChoice::step(Rng& rng) {
-  ++steps_;
-  const std::uint32_t deg = g_->degree(current_);
-  if (deg == 0) throw std::logic_error("RandomWalkWithChoice: stuck at isolated vertex");
+  const std::uint32_t deg = exit_degree();
+  const Vertex v = current();
 
   // Sample d slots with replacement; keep the least-visited neighbour,
   // breaking ties uniformly via reservoir counting.
-  Slot best = g_->slot(current_, static_cast<std::uint32_t>(rng.uniform(deg)));
-  std::uint32_t best_visits = cover_.visit_count(best.neighbor);
+  Slot best = graph().slot(v, static_cast<std::uint32_t>(rng.uniform(deg)));
+  std::uint32_t best_visits = cover().visit_count(best.neighbor);
   std::uint32_t ties = 1;
   for (std::uint32_t i = 1; i < d_; ++i) {
-    const Slot s = g_->slot(current_, static_cast<std::uint32_t>(rng.uniform(deg)));
-    const std::uint32_t c = cover_.visit_count(s.neighbor);
+    const Slot s = graph().slot(v, static_cast<std::uint32_t>(rng.uniform(deg)));
+    const std::uint32_t c = cover().visit_count(s.neighbor);
     if (c < best_visits) {
       best = s;
       best_visits = c;
@@ -34,9 +30,7 @@ void RandomWalkWithChoice::step(Rng& rng) {
       if (rng.uniform(ties) == 0) best = s;
     }
   }
-  cover_.visit_edge(best.edge, steps_);
-  current_ = best.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  cross(best);
 }
 
 }  // namespace ewalk

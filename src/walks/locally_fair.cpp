@@ -1,22 +1,14 @@
 #include "walks/locally_fair.hpp"
 
-#include <stdexcept>
-
 namespace ewalk {
 
 LocallyFairWalk::LocallyFairWalk(const Graph& g, Vertex start, FairnessCriterion criterion)
-    : g_(&g), criterion_(criterion), current_(start),
-      cover_(g.num_vertices(), g.num_edges()),
-      traversals_(g.num_edges(), 0), last_used_(g.num_edges(), 0) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("LocallyFairWalk: start vertex out of range");
-  cover_.visit_vertex(start, 0);
-}
+    : SingleWalk(g, start, "LocallyFairWalk"), criterion_(criterion),
+      traversals_(g.num_edges(), 0), last_used_(g.num_edges(), 0) {}
 
 void LocallyFairWalk::step() {
-  ++steps_;
-  const auto slots = g_->slots(current_);
-  if (slots.empty()) throw std::logic_error("LocallyFairWalk: stuck at isolated vertex");
+  exit_degree();
+  const auto slots = graph().slots(current());
 
   std::size_t best = 0;
   for (std::size_t i = 1; i < slots.size(); ++i) {
@@ -28,10 +20,8 @@ void LocallyFairWalk::step() {
   }
   const Slot chosen = slots[best];
   ++traversals_[chosen.edge];
-  last_used_[chosen.edge] = steps_;
-  cover_.visit_edge(chosen.edge, steps_);
-  current_ = chosen.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  cross(chosen);
+  last_used_[chosen.edge] = steps();
 }
 
 }  // namespace ewalk

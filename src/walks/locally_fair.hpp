@@ -14,13 +14,12 @@
 
 #include "engine/process.hpp"
 #include "graph/graph.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
 enum class FairnessCriterion : std::uint8_t { kLeastUsedFirst, kOldestFirst };
 
-class LocallyFairWalk final : public WalkProcess {
+class LocallyFairWalk final : public SingleWalk {
  public:
   LocallyFairWalk(const Graph& g, Vertex start, FairnessCriterion criterion);
 
@@ -28,20 +27,11 @@ class LocallyFairWalk final : public WalkProcess {
   /// Engine-driver entry point; the rng is ignored (deterministic process).
   void step(Rng&) override { step(); }
 
-  Vertex current() const override { return current_; }
-  std::uint64_t steps() const override { return steps_; }
-  const Graph& graph() const override { return *g_; }
-  const CoverState& cover() const override { return cover_; }
-
   /// Traversal count per edge (for long-run fairness checks).
   const std::vector<std::uint64_t>& edge_traversals() const { return traversals_; }
 
  private:
-  const Graph* g_;
   FairnessCriterion criterion_;
-  Vertex current_;
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
   std::vector<std::uint64_t> traversals_;  // per edge
   std::vector<std::uint64_t> last_used_;   // per edge; 0 == never
 };

@@ -1,27 +1,16 @@
 #include "walks/rotor.hpp"
 
-#include <stdexcept>
-
 namespace ewalk {
 
 RotorRouter::RotorRouter(const Graph& g, Vertex start)
-    : g_(&g), current_(start), cover_(g.num_vertices(), g.num_edges()),
-      rotor_(g.num_vertices(), 0) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("RotorRouter: start vertex out of range");
-  cover_.visit_vertex(start, 0);
-}
+    : SingleWalk(g, start, "RotorRouter"), rotor_(g.num_vertices(), 0) {}
 
 void RotorRouter::step() {
-  ++steps_;
-  const std::uint32_t d = g_->degree(current_);
-  if (d == 0) throw std::logic_error("RotorRouter: stuck at isolated vertex");
-  const std::uint32_t k = rotor_[current_];
-  rotor_[current_] = (k + 1) % d;
-  const Slot slot = g_->slot(current_, k);
-  cover_.visit_edge(slot.edge, steps_);
-  current_ = slot.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  const std::uint32_t d = exit_degree();
+  const Vertex v = current();
+  const std::uint32_t k = rotor_[v];
+  rotor_[v] = (k + 1) % d;
+  cross(graph().slot(v, k));
 }
 
 }  // namespace ewalk

@@ -12,11 +12,10 @@
 
 #include "engine/process.hpp"
 #include "graph/graph.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
-class RotorRouter final : public WalkProcess {
+class RotorRouter final : public SingleWalk {
  public:
   RotorRouter(const Graph& g, Vertex start);
 
@@ -25,16 +24,7 @@ class RotorRouter final : public WalkProcess {
   /// Engine-driver entry point; the rng is ignored (deterministic process).
   void step(Rng&) override { step(); }
 
-  Vertex current() const override { return current_; }
-  std::uint64_t steps() const override { return steps_; }
-  const Graph& graph() const override { return *g_; }
-  const CoverState& cover() const override { return cover_; }
-
  private:
-  const Graph* g_;
-  Vertex current_;
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
   std::vector<std::uint32_t> rotor_;  // next slot index per vertex
 };
 

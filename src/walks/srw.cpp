@@ -1,31 +1,21 @@
 #include "walks/srw.hpp"
 
-#include <stdexcept>
-
 #include "walks/step_core.hpp"
 
 namespace ewalk {
 
 SimpleRandomWalk::SimpleRandomWalk(const Graph& g, Vertex start, SrwOptions options)
-    : g_(&g), options_(options), current_(start),
-      cover_(g.num_vertices(), g.num_edges()) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("SimpleRandomWalk: start vertex out of range");
-  cover_.visit_vertex(start, 0);
-}
+    : SingleWalk(g, start, "SimpleRandomWalk"), options_(options) {}
 
 void SimpleRandomWalk::step(Rng& rng) {
-  ++steps_;
   if (options_.lazy && rng.bernoulli(0.5)) {
-    cover_.visit_vertex(current_, steps_);
+    stay();
     return;
   }
   Slot slot;
-  if (srw_transition(*g_, current_, rng, &slot) == TransitionKind::kIsolated)
-    throw std::logic_error("SimpleRandomWalk: stuck at isolated vertex");
-  cover_.visit_edge(slot.edge, steps_);
-  current_ = slot.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  if (srw_transition(graph(), current(), rng, &slot) == TransitionKind::kIsolated)
+    stuck();
+  cross(slot);
 }
 
 }  // namespace ewalk

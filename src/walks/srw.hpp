@@ -11,7 +11,6 @@
 #include "engine/process.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
@@ -19,7 +18,7 @@ struct SrwOptions {
   bool lazy = false;  ///< stay put with probability 1/2 before each move
 };
 
-class SimpleRandomWalk final : public WalkProcess {
+class SimpleRandomWalk final : public SingleWalk {
  public:
   SimpleRandomWalk(const Graph& g, Vertex start, SrwOptions options = {});
 
@@ -27,17 +26,8 @@ class SimpleRandomWalk final : public WalkProcess {
   /// termination condition with the engine driver (engine/driver.hpp).
   void step(Rng& rng) override;
 
-  Vertex current() const override { return current_; }
-  std::uint64_t steps() const override { return steps_; }
-  const Graph& graph() const override { return *g_; }
-  const CoverState& cover() const override { return cover_; }
-
  private:
-  const Graph* g_;
   SrwOptions options_;
-  Vertex current_;
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
 };
 
 }  // namespace ewalk

@@ -1,35 +1,23 @@
 #include "walks/vertex_process.hpp"
 
-#include <stdexcept>
-
 namespace ewalk {
 
 UnvisitedVertexWalk::UnvisitedVertexWalk(const Graph& g, Vertex start)
-    : g_(&g), current_(start), cover_(g.num_vertices(), g.num_edges()) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("UnvisitedVertexWalk: start vertex out of range");
+    : SingleWalk(g, start, "UnvisitedVertexWalk") {
   scratch_.reserve(g.max_degree());
-  cover_.visit_vertex(start, 0);
 }
 
 void UnvisitedVertexWalk::step(Rng& rng) {
-  ++steps_;
-  const std::uint32_t deg = g_->degree(current_);
-  if (deg == 0) throw std::logic_error("UnvisitedVertexWalk: stuck at isolated vertex");
+  const std::uint32_t deg = exit_degree();
 
   scratch_.clear();
-  for (const Slot& s : g_->slots(current_))
-    if (!cover_.vertex_visited(s.neighbor)) scratch_.push_back(s);
+  for (const Slot& s : graph().slots(current()))
+    if (!cover().vertex_visited(s.neighbor)) scratch_.push_back(s);
 
-  Slot chosen{};
-  if (!scratch_.empty()) {
-    chosen = scratch_[static_cast<std::size_t>(rng.uniform(scratch_.size()))];
-  } else {
-    chosen = g_->slot(current_, static_cast<std::uint32_t>(rng.uniform(deg)));
-  }
-  cover_.visit_edge(chosen.edge, steps_);
-  current_ = chosen.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  if (!scratch_.empty())
+    cross(scratch_[static_cast<std::size_t>(rng.uniform(scratch_.size()))]);
+  else
+    cross(graph().slot(current(), static_cast<std::uint32_t>(rng.uniform(deg))));
 }
 
 }  // namespace ewalk

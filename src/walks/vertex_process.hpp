@@ -11,26 +11,16 @@
 #include "engine/process.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
-class UnvisitedVertexWalk final : public WalkProcess {
+class UnvisitedVertexWalk final : public SingleWalk {
  public:
   UnvisitedVertexWalk(const Graph& g, Vertex start);
 
   void step(Rng& rng) override;
 
-  Vertex current() const override { return current_; }
-  std::uint64_t steps() const override { return steps_; }
-  const Graph& graph() const override { return *g_; }
-  const CoverState& cover() const override { return cover_; }
-
  private:
-  const Graph* g_;
-  Vertex current_;
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
   std::vector<Slot> scratch_;
 };
 

@@ -46,10 +46,8 @@ std::uint32_t AliasTable::sample(Rng& rng) const {
 
 WeightedRandomWalk::WeightedRandomWalk(const Graph& g, Vertex start,
                                        const std::vector<double>& edge_weights)
-    : g_(&g), current_(start), cover_(g.num_vertices(), g.num_edges()),
+    : SingleWalk(g, start, "WeightedRandomWalk"),
       vertex_weight_(g.num_vertices(), 0.0) {
-  if (start >= g.num_vertices())
-    throw std::invalid_argument("WeightedRandomWalk: start vertex out of range");
   if (edge_weights.size() != g.num_edges())
     throw std::invalid_argument("WeightedRandomWalk: one weight per edge required");
   for (const double w : edge_weights)
@@ -66,16 +64,11 @@ WeightedRandomWalk::WeightedRandomWalk(const Graph& g, Vertex start,
     total_weight_ += vertex_weight_[v];
     tables_.emplace_back(local.empty() ? std::vector<double>{1.0} : local);
   }
-  cover_.visit_vertex(start, 0);
 }
 
 void WeightedRandomWalk::step(Rng& rng) {
-  ++steps_;
-  const std::uint32_t k = tables_[current_].sample(rng);
-  const Slot slot = g_->slot(current_, k);
-  cover_.visit_edge(slot.edge, steps_);
-  current_ = slot.neighbor;
-  cover_.visit_vertex(current_, steps_);
+  exit_degree();
+  cross(graph().slot(current(), tables_[current()].sample(rng)));
 }
 
 }  // namespace ewalk

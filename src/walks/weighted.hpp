@@ -12,7 +12,6 @@
 #include "engine/process.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
-#include "walks/cover_state.hpp"
 
 namespace ewalk {
 
@@ -33,7 +32,7 @@ class AliasTable {
   std::vector<std::uint32_t> alias_;
 };
 
-class WeightedRandomWalk final : public WalkProcess {
+class WeightedRandomWalk final : public SingleWalk {
  public:
   /// `edge_weights` has one positive weight per edge id.
   WeightedRandomWalk(const Graph& g, Vertex start,
@@ -41,21 +40,12 @@ class WeightedRandomWalk final : public WalkProcess {
 
   void step(Rng& rng) override;
 
-  Vertex current() const override { return current_; }
-  std::uint64_t steps() const override { return steps_; }
-  const Graph& graph() const override { return *g_; }
-  const CoverState& cover() const override { return cover_; }
-
   /// Stationary probability of v: w(v) / Σ_u w(u), w(v) = Σ incident weights.
   double stationary_probability(Vertex v) const {
     return vertex_weight_[v] / total_weight_;
   }
 
  private:
-  const Graph* g_;
-  Vertex current_;
-  std::uint64_t steps_ = 0;
-  CoverState cover_;
   std::vector<AliasTable> tables_;       // one per vertex, over its slots
   std::vector<double> vertex_weight_;
   double total_weight_ = 0.0;

@@ -119,23 +119,6 @@ TEST(EngineDriver, ZeroCheckStrideActsAsOne) {
   EXPECT_EQ(a.steps(), b.steps());
 }
 
-TEST(EngineDriver, PredicatesCompose) {
-  const Graph g = cycle_graph(32);
-  // all_of(vertex, edge) on a cycle == edge cover (edges finish last or
-  // together); any_of(vertex, edge) == vertex cover first.
-  SimpleRandomWalk a(g, 0);
-  Rng ra(9);
-  ASSERT_TRUE(run_until(a, ra, all_of(VertexCovered{}, EdgesCovered{}), 1u << 22));
-  EXPECT_TRUE(a.cover().all_vertices_covered());
-  EXPECT_TRUE(a.cover().all_edges_covered());
-
-  SimpleRandomWalk b(g, 0);
-  Rng rb(9);
-  ASSERT_TRUE(run_until(b, rb, any_of(VertexCovered{}, EdgesCovered{}), 1u << 22));
-  EXPECT_TRUE(b.cover().all_vertices_covered() || b.cover().all_edges_covered());
-  EXPECT_LE(b.steps(), a.steps());
-}
-
 // ---- Uniform-rule fast path -----------------------------------------------
 
 // A rule with the same draw as UniformRule but *without* the fast-path

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -181,19 +185,31 @@ TEST(Stats, RunningStatsMatchesSummarize) {
 }
 
 TEST(Cli, ParsesForms) {
-  // Note: a bare flag greedily consumes a following non-flag token, so
-  // positionals come first (or use --flag=true).
-  const char* argv[] = {"prog", "positional", "--n=100", "--seed", "7",
+  const char* argv[] = {"prog", "--n=100", "--seed", "7",
                         "--bad=abc", "--big=1e9", "--frac=2.5", "--exact=1.5e3",
                         "--neg=-1", "--lazy=maybe", "--no=0", "--yes=yes",
                         "--tail=12x", "--huge=1e20", "--verbose"};
-  Cli cli(16, const_cast<char**>(argv));
+  Cli cli(15, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("n", 0), 100);
   EXPECT_EQ(cli.get_u64("seed", 0), 7u);
   EXPECT_TRUE(cli.get_bool("verbose", false));
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
-  ASSERT_EQ(cli.positionals().size(), 1u);
-  EXPECT_EQ(cli.positionals()[0], "positional");
+
+  // A flag takes at most one value: a second word is an error naming it,
+  // never silently dropped (`--n 100 200`), and so is a leading bare word.
+  const char* second_value[] = {"prog", "--n", "100", "200"};
+  const char* leading_word[] = {"prog", "positional", "--n=1"};
+  for (const auto& [args, argc, stray] :
+       {std::tuple{second_value, 4, "200"}, std::tuple{leading_word, 3, "positional"}}) {
+    try {
+      Cli(argc, const_cast<char**>(args));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_EQ(std::string(ex.what()),
+                std::string("unexpected argument: ") + stray +
+                    " (a flag takes one value: --key value or --key=value)");
+    }
+  }
 
   // One strict parser behind every getter: the whole token must parse, and
   // the error names the key and the value.

@@ -133,11 +133,6 @@ TEST(Srw, RunUntilVisitCount) {
   EXPECT_GE(walk.cover().min_visit_count(), 3u);
 }
 
-TEST(Srw, StartOutOfRangeThrows) {
-  const Graph g = cycle_graph(4);
-  EXPECT_THROW(SimpleRandomWalk(g, 10), std::invalid_argument);
-}
-
 // ---- Weighted walk ---------------------------------------------------------
 
 TEST(AliasTable, MatchesWeights) {

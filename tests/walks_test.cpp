@@ -1,6 +1,13 @@
 // Tests for the baseline processes: rotor-router, RWC(d), the
-// unvisited-vertex walk, and the locally fair strategies.
+// unvisited-vertex walk, and the locally fair strategies, plus the error
+// paths all six single-walker classes share.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/driver.hpp"
 #include "graph/algorithms.hpp"
@@ -8,7 +15,9 @@
 #include "walks/choice.hpp"
 #include "walks/locally_fair.hpp"
 #include "walks/rotor.hpp"
+#include "walks/srw.hpp"
 #include "walks/vertex_process.hpp"
+#include "walks/weighted.hpp"
 
 namespace ewalk {
 namespace {
@@ -57,11 +66,6 @@ TEST(Rotor, EventuallyPeriodicWithPeriod2m) {
       walk.step();
     }
   }
-}
-
-TEST(Rotor, StartOutOfRangeThrows) {
-  const Graph g = cycle_graph(4);
-  EXPECT_THROW(RotorRouter(g, 4), std::invalid_argument);
 }
 
 // ---- Random walk with choice -----------------------------------------------
@@ -184,6 +188,73 @@ TEST(LocallyFair, TraversalCountsMatchSteps) {
   for (const auto c : walk.edge_traversals()) total += c;
   EXPECT_EQ(total, 777u);
 }
+
+// ---- Error paths shared by every single walker ------------------------------
+
+struct SingleWalkCase {
+  std::string name;  // the class name its errors start with
+  std::function<std::unique_ptr<WalkProcess>(const Graph&, Vertex)> make;
+};
+
+void PrintTo(const SingleWalkCase& c, std::ostream* os) { *os << c.name; }
+
+class SingleWalkErrors : public testing::TestWithParam<SingleWalkCase> {};
+
+// Expects `f` to throw `Error` with a message starting "<name>: `what`".
+template <typename Error, typename F>
+void expect_error(F f, const std::string& name, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << "no exception; expected " << name << ": " << what;
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), name + ": " + what);
+  }
+}
+
+TEST_P(SingleWalkErrors, StartOutOfRangeThrowsInvalidArgument) {
+  const Graph g = cycle_graph(4);
+  expect_error<std::invalid_argument>([&] { GetParam().make(g, 4); },
+                                      GetParam().name, "start vertex out of range");
+}
+
+TEST_P(SingleWalkErrors, StepAtIsolatedVertexThrowsLogicError) {
+  // Vertex 0 has no edges; its CSR row is empty.
+  GraphBuilder b(4);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  const Graph g = b.build();
+  const auto walk = GetParam().make(g, 0);
+  Rng rng(1);
+  expect_error<std::logic_error>([&] { walk->step(rng); }, GetParam().name,
+                                 "stuck at isolated vertex");
+  EXPECT_EQ(walk->current(), 0u);
+  EXPECT_EQ(walk->cover().edges_covered(), 0u);
+}
+
+template <typename Walk, typename... Args>
+SingleWalkCase single_walk_case(std::string name, Args... args) {
+  return {std::move(name), [=](const Graph& g, Vertex start) {
+            return std::make_unique<Walk>(g, start, args...);
+          }};
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllClasses, SingleWalkErrors,
+    testing::Values(
+        single_walk_case<SimpleRandomWalk>("SimpleRandomWalk"),
+        single_walk_case<RotorRouter>("RotorRouter"),
+        single_walk_case<UnvisitedVertexWalk>("UnvisitedVertexWalk"),
+        single_walk_case<RandomWalkWithChoice>("RandomWalkWithChoice", 2u),
+        single_walk_case<LocallyFairWalk>("LocallyFairWalk",
+                                          FairnessCriterion::kOldestFirst),
+        SingleWalkCase{"WeightedRandomWalk",
+                       [](const Graph& g, Vertex start) {
+                         return std::make_unique<WeightedRandomWalk>(
+                             g, start, std::vector<double>(g.num_edges(), 2.0));
+                       }}),
+    [](const testing::TestParamInfo<SingleWalkCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace ewalk

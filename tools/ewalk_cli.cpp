@@ -162,12 +162,12 @@ int run_cli_sweep(const RunRequest& req, const ParamMap& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    print_help();
-    return 0;
-  }
   try {
+    const Cli cli(argc, argv);
+    if (cli.has("help")) {
+      print_help();
+      return 0;
+    }
     // Every flag must be a run field, one of cli_flags(), or a parameter
     // the family or the process declares; --walk/--generator fold onto
     // --process/--graph here.

@@ -54,18 +54,18 @@ const ParamSchema& daemon_flags() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    std::printf("ewalkd — serving daemon over a cached graph store\n\n"
-                "usage: ewalkd --stdin | --port P [options]\n\n");
-    print_params(daemon_flags(), "  ");
-    std::printf(
-        "\nOne JSON object per request line; see src/serve/protocol.hpp and\n"
-        "tools/ewalk_client.py. `ewalk --help` lists the run fields, graph\n"
-        "families and processes a request may name.\n");
-    return 0;
-  }
   try {
+    const Cli cli(argc, argv);
+    if (cli.has("help")) {
+      std::printf("ewalkd — serving daemon over a cached graph store\n\n"
+                  "usage: ewalkd --stdin | --port P [options]\n\n");
+      print_params(daemon_flags(), "  ");
+      std::printf(
+          "\nOne JSON object per request line; see src/serve/protocol.hpp and\n"
+          "tools/ewalk_client.py. `ewalk --help` lists the run fields, graph\n"
+          "families and processes a request may name.\n");
+      return 0;
+    }
     cli.check({&daemon_flags()});
     const ParamMap flags = cli.with_defaults(daemon_flags());
     ServerConfig config;
