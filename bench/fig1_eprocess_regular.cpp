@@ -138,7 +138,7 @@ int main(int argc, char** argv) try {
   for (const std::uint64_t d : degrees) {
     for (const std::uint64_t n : ns) {
       SweepPoint point;
-      point.label = "d" + std::to_string(d) + "-n" + std::to_string(n);
+      point.label = std::string("d").append(std::to_string(d)) + "-n" + std::to_string(n);
       point.params = {{"d", static_cast<double>(d)},
                       {"n", static_cast<double>(n)}};
       point.graph = bench::regular_factory(generator, static_cast<Vertex>(n),

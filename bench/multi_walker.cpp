@@ -38,7 +38,7 @@ int main(int argc, char** argv) try {
   std::vector<SweepPoint> points;
   for (const std::uint64_t k : ks) {
     SweepPoint point;
-    point.label = "k" + std::to_string(k);
+    point.label = std::string("k").append(std::to_string(k));
     point.params = {{"n", static_cast<double>(n)},
                     {"k", static_cast<double>(k)}};
     point.graph = bench::regular_factory(generator, n, 4);

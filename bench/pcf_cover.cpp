@@ -84,7 +84,7 @@ int main(int argc, char** argv) try {
   for (const double alpha : alphas) {
     for (const std::uint64_t n : ns) {
       SweepPoint point;
-      point.label = "a" + std::to_string(alpha) + "-n" + std::to_string(n);
+      point.label = std::string("a").append(std::to_string(alpha)) + "-n" + std::to_string(n);
       point.params = {{"alpha", alpha},
                       {"n", static_cast<double>(n)},
                       {"r", static_cast<double>(kDegree)}};

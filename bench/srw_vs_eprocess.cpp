@@ -48,7 +48,7 @@ int main(int argc, char** argv) try {
   for (const std::uint64_t r : degrees) {
     for (const std::uint64_t n : ns) {
       SweepPoint point;
-      point.label = "r" + std::to_string(r) + "-n" + std::to_string(n);
+      point.label = std::string("r").append(std::to_string(r)) + "-n" + std::to_string(n);
       point.params = {{"r", static_cast<double>(r)},
                       {"n", static_cast<double>(n)}};
       point.graph = bench::regular_factory(generator, static_cast<Vertex>(n),

@@ -57,9 +57,15 @@ void census(const char* name, const Graph& g, std::uint32_t trials,
 
 int main(int argc, char** argv) try {
   using namespace ewalk;
+  const ParamSchema schema = {
+      {"seed", ParamType::kU64, "3", {}, "master seed"},
+      {"trials", ParamType::kU32, "3", {}, "E-process trials per graph"},
+  };
   const Cli cli(argc, argv);
-  const std::uint64_t seed = cli.get_u64("seed", 3);
-  const std::uint32_t trials = static_cast<std::uint32_t>(cli.get_int("trials", 3));
+  cli.check({&schema});  // an undeclared flag fails before any output
+  const ParamMap flags = cli.with_defaults(schema);
+  const std::uint64_t seed = flags.get_u64("seed");
+  const std::uint32_t trials = static_cast<std::uint32_t>(flags.get_u64("trials"));
   Rng rng(seed);
 
   std::printf("%-18s %7s %7s %5s %7s %12s %9s %11s %11s\n", "graph", "n",

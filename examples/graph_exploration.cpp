@@ -57,10 +57,17 @@ class StarveFreshVerticesRule final : public UnvisitedEdgeRule {
 
 int main(int argc, char** argv) try {
   using namespace ewalk;
+  const ParamSchema schema = {
+      {"n", ParamType::kU32, "20000", {}, "vertices"},
+      {"r", ParamType::kU32, "6", {}, "degree"},
+      {"seed", ParamType::kU64, "7", {}, "master seed"},
+  };
   const Cli cli(argc, argv);
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 20000));
-  const std::uint32_t r = static_cast<std::uint32_t>(cli.get_int("r", 6));
-  const std::uint64_t seed = cli.get_u64("seed", 7);
+  cli.check({&schema});  // an undeclared flag fails before any output
+  const ParamMap flags = cli.with_defaults(schema);
+  const Vertex n = static_cast<Vertex>(flags.get_u64("n"));
+  const std::uint32_t r = static_cast<std::uint32_t>(flags.get_u64("r"));
+  const std::uint64_t seed = flags.get_u64("seed");
 
   Rng graph_rng(seed);
   const Graph g = random_regular_connected(n, r, graph_rng);

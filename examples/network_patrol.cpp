@@ -14,7 +14,7 @@
 //   * rotor-router patrol (deterministic, settles into an Eulerian tour),
 //   * Least-Used-First patrol (locally fair).
 //
-//   $ ./network_patrol [--n 5000] [--rings 2] [--sweeps 4] [--seed 1]
+//   $ ./network_patrol [--n 5000] [--rings 2] [--seed 1]
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -54,10 +54,17 @@ std::uint64_t max_revisit_gap(const Graph& g, StepFn&& stepper, std::uint64_t ho
 
 int main(int argc, char** argv) try {
   using namespace ewalk;
+  const ParamSchema schema = {
+      {"n", ParamType::kU32, "5000", {}, "nodes"},
+      {"rings", ParamType::kU32, "2", {}, "Hamiltonian rings in the overlay"},
+      {"seed", ParamType::kU64, "1", {}, "master seed"},
+  };
   const Cli cli(argc, argv);
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 5000));
-  const std::uint32_t rings = static_cast<std::uint32_t>(cli.get_int("rings", 2));
-  Rng rng(cli.get_u64("seed", 1));
+  cli.check({&schema});  // an undeclared flag fails before any output
+  const ParamMap flags = cli.with_defaults(schema);
+  const Vertex n = static_cast<Vertex>(flags.get_u64("n"));
+  const std::uint32_t rings = static_cast<std::uint32_t>(flags.get_u64("rings"));
+  Rng rng(flags.get_u64("seed"));
 
   const Graph g = hamiltonian_cycle_union(n, rings, rng);
   const std::uint64_t horizon = 20ull * g.num_edges();

@@ -21,10 +21,17 @@
 
 int main(int argc, char** argv) try {
   using namespace ewalk;
+  const ParamSchema schema = {
+      {"n", ParamType::kU32, "20000", {}, "vertices"},
+      {"r", ParamType::kU32, "4", {}, "degree"},
+      {"seed", ParamType::kU64, "1", {}, "master seed"},
+  };
   const Cli cli(argc, argv);
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 20000));
-  const std::uint32_t r = static_cast<std::uint32_t>(cli.get_int("r", 4));
-  Rng rng(cli.get_u64("seed", 1));
+  cli.check({&schema});  // an undeclared flag fails before any output
+  const ParamMap flags = cli.with_defaults(schema);
+  const Vertex n = static_cast<Vertex>(flags.get_u64("n"));
+  const std::uint32_t r = static_cast<std::uint32_t>(flags.get_u64("r"));
+  Rng rng(flags.get_u64("seed"));
 
   std::printf("generating a random %u-regular graph on %u vertices...\n", r, n);
   const Graph g = random_regular_connected(n, r, rng);

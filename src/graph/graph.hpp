@@ -49,6 +49,12 @@ class Graph {
   /// Builds a graph on n vertices from an undirected edge list. Endpoints
   /// must be < n. Parallel edges and self-loops are kept. Copies the edge
   /// list; prefer the EdgeList overload when the caller's list is disposable.
+  ///
+  /// Row order (both overloads): edge e gets id e, its position in `edges`,
+  /// and every vertex's slots ascend by edge id. A self-loop's two slots are
+  /// adjacent in its row. BluePartition relies on this to find an edge's
+  /// slot at its far endpoint by binary search; graph_test pins it for
+  /// every generator family.
   static Graph from_edges(Vertex n, std::span<const Endpoints> edges);
 
   /// Memory-lean build path: adopts `edges` as the graph's edge array (no

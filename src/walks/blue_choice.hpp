@@ -22,23 +22,23 @@
 
 namespace ewalk {
 
-/// Chooses among the blue slots of v (blue_count(v) >= 1 required).
-/// `uniform_rule` is rule.uniform_over_candidates(), hoisted by the caller
-/// at construction so the hot path pays no per-step virtual query.
-inline Slot choose_blue_slot(const BluePartition& blue, const Graph& g,
-                             Vertex v, UnvisitedEdgeRule& rule,
-                             bool uniform_rule, const CoverState& cover,
-                             std::uint64_t steps, Rng& rng) {
+/// Chooses among the blue slots of v (blue_count(v) >= 1 required) and
+/// returns the chosen position in v's blue prefix. `uniform_rule` is
+/// rule.uniform_over_candidates(), hoisted by the caller at construction so
+/// the hot path pays no per-step virtual query.
+inline std::uint32_t choose_blue_position(const BluePartition& blue,
+                                          const Graph& g, Vertex v,
+                                          UnvisitedEdgeRule& rule,
+                                          bool uniform_rule,
+                                          const CoverState& cover,
+                                          std::uint64_t steps, Rng& rng) {
   const std::uint32_t b = blue.blue_count(v);
-  if (uniform_rule) {
-    const std::uint32_t p = static_cast<std::uint32_t>(rng.uniform(b));
-    return blue.blue_slot(g, v, p);
-  }
+  if (uniform_rule) return static_cast<std::uint32_t>(rng.uniform(b));
   const EProcessView view(g, cover, blue, steps);
   const std::uint32_t idx = rule.choose_index(view, v, b, rng);
   if (idx >= b)
     throw std::logic_error("UnvisitedEdgeRule returned out-of-range index");
-  return blue.blue_slot(g, v, idx);
+  return idx;
 }
 
 /// Adapts the static-path machinery (BluePartition + UnvisitedEdgeRule +
@@ -60,9 +60,9 @@ struct StaticBlueIndex {
 
   /// Chooses a blue slot of v, marks its edge visited and records the visit.
   Slot take_blue(Vertex v, Rng& rng) {
-    const Slot chosen =
-        choose_blue_slot(blue, g, v, rule, uniform_rule, cover, steps, rng);
-    blue.mark_edge_visited(g, chosen.edge);
+    const std::uint32_t p =
+        choose_blue_position(blue, g, v, rule, uniform_rule, cover, steps, rng);
+    const Slot chosen = blue.mark_slot_visited(g, v, blue.local_slot(g, v, p));
     cover.visit_edge(chosen.edge, steps);
     return chosen;
   }

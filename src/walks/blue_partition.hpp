@@ -1,34 +1,37 @@
 // The blue-prefix partition: O(1) access to the unvisited ("blue") incident
-// edges of every vertex, with O(1) eviction.
+// edges of every vertex, with O(1) eviction at the walker's end of an edge.
 //
 // order_[slot_offset(v) + p] is the local slot index (0..deg-1) occupying
-// position p of v's region; positions < blue_count(v) are blue. Two static
-// and dynamic side tables make eviction a true O(1) swap:
-//   * edge_slot_[2e], edge_slot_[2e+1] — the local slot index edge e occupies
-//     at each endpoint (both at the same vertex for a self-loop), fixed at
-//     construction;
-//   * pos_of_slot_[slot_offset(v) + k] — the position local slot k currently
-//     holds in v's region, maintained through every swap (the inverse
-//     permutation of order_ per vertex).
-// Marking an edge visited looks up its slot at each endpoint, finds the
-// slot's position through pos_of_slot_, and swaps it out of the blue prefix
-// — no scan over the prefix, so a blue step costs O(1) regardless of degree
-// (the previous implementation scanned O(blue_count) per endpoint, which
-// dominated dense graphs). The swap is move-for-move identical to the scan
-// it replaced, so walk trajectories are unchanged bit-for-bit; for a
-// self-loop the slot nearer the front is evicted first, the order the scan
-// found them in.
+// position p of v's region; positions < blue_count(v) are blue.
+// pos_of_slot_[slot_offset(v) + k] is the position local slot k currently
+// holds in v's region, maintained through every swap (the inverse
+// permutation of order_ per vertex), so evicting a known local slot is a
+// true O(1) swap with the last blue position.
+//
+// A blue step knows its own end of the edge: the walker at v chose local
+// slot k = order_[slot_offset(v) + p]. mark_slot_visited(g, v, k) evicts k
+// at v and finds the edge's slot at the far endpoint u by binary search
+// over u's CSR row, which Graph::from_edges fills in ascending edge id
+// (graph.hpp). That row is the one the walk reads on its next step anyway,
+// so the search costs O(log deg(u)) reads of lines the step is about to
+// pull in — no per-trial edge->slot table. A self-loop's twin is the
+// adjacent slot with the same edge id. The swaps are move-for-move
+// identical to the prefix scan this partition replaced, so walk
+// trajectories are unchanged bit-for-bit; for a self-loop the slot nearer
+// the front is evicted first, the order the scan found them in.
 //
 // This is the state every unvisited-edge-preferring process shares —
 // EProcess, MultiEProcess, CoalescingEWalk — extracted here so the eviction
-// subtleties live in one place. The companion choose_blue_slot helper
+// subtleties live in one place. The companion choose_blue_position helper
 // (blue_choice.hpp) implements the index-based rule dispatch with the
 // uniform-rule O(1) fast path on top of it; blue_slot(g, v, p) is the O(1)
 // accessor index-based rules read candidates through.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "graph/graph.hpp"
@@ -42,7 +45,6 @@ class BluePartition {
   explicit BluePartition(const Graph& g)
       : order_(2 * static_cast<std::size_t>(g.num_edges())),
         pos_of_slot_(2 * static_cast<std::size_t>(g.num_edges())),
-        edge_slot_(2 * static_cast<std::size_t>(g.num_edges()), kUnset),
         blue_count_(g.num_vertices()) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       const std::uint32_t off = g.slot_offset(v);
@@ -51,14 +53,6 @@ class BluePartition {
       for (std::uint32_t k = 0; k < d; ++k) {
         order_[off + k] = k;
         pos_of_slot_[off + k] = k;
-        const EdgeId e = g.slot(v, k).edge;
-        // Entry 2e belongs to endpoint u, 2e+1 to endpoint v; a self-loop
-        // (u == v) fills them with its two slots in slot order.
-        if (v == g.endpoints(e).u && edge_slot_[2 * e] == kUnset) {
-          edge_slot_[2 * e] = k;
-        } else {
-          edge_slot_[2 * e + 1] = k;
-        }
       }
     }
   }
@@ -66,9 +60,14 @@ class BluePartition {
   /// Number of blue edges incident with v right now.
   std::uint32_t blue_count(Vertex v) const { return blue_count_[v]; }
 
+  /// The local slot index at position p of v's prefix, 0 <= p < blue_count(v).
+  std::uint32_t local_slot(const Graph& g, Vertex v, std::uint32_t p) const {
+    return order_[g.slot_offset(v) + p];
+  }
+
   /// The blue slot at position p of v's prefix, 0 <= p < blue_count(v).
   Slot blue_slot(const Graph& g, Vertex v, std::uint32_t p) const {
-    return g.slot(v, order_[g.slot_offset(v) + p]);
+    return g.slot(v, local_slot(g, v, p));
   }
 
   /// Hints the hardware to pull v's partition state into cache: the blue
@@ -85,28 +84,38 @@ class BluePartition {
 #endif
   }
 
-  /// Evicts e from the blue prefix of each endpoint with an O(1) swap. The
-  /// edge occurs exactly once in each endpoint's slots — twice at the same
-  /// vertex for a self-loop, which occupies two slots. Precondition: e is
-  /// blue.
-  void mark_edge_visited(const Graph& g, EdgeId e) {
-    const auto [u, v] = g.endpoints(e);
-    std::uint32_t ku = edge_slot_[2 * e];
-    std::uint32_t kv = edge_slot_[2 * e + 1];
+  /// Marks the edge in v's local slot k visited: evicts it from the blue
+  /// prefix of both endpoints with O(1) swaps and returns the slot. The far
+  /// endpoint's slot is found by edge id in its CSR row (ascending by
+  /// construction); a self-loop's two slots are adjacent in v's row.
+  /// Precondition: the edge is blue.
+  Slot mark_slot_visited(const Graph& g, Vertex v, std::uint32_t k) {
+    const Slot s = g.slot(v, k);
+    const Vertex u = s.neighbor;
+    const std::span<const Slot> row = g.slots(u);
     if (u == v) {
       // Self-loop: evict the slot currently nearer the front first — the
       // order a front-to-back prefix scan finds them — so the resulting
       // permutation is identical to the scan-based implementation.
-      const std::uint32_t off = g.slot_offset(u);
-      if (pos_of_slot_[off + kv] < pos_of_slot_[off + ku]) std::swap(ku, kv);
+      std::uint32_t first = k;
+      std::uint32_t second = k > 0 && row[k - 1].edge == s.edge ? k - 1 : k + 1;
+      const std::uint32_t off = g.slot_offset(v);
+      if (pos_of_slot_[off + second] < pos_of_slot_[off + first])
+        std::swap(first, second);
+      evict_slot(g, v, first);
+      evict_slot(g, v, second);
+      return s;
     }
-    evict_slot(g, u, ku);
-    evict_slot(g, v, kv);
+    evict_slot(g, v, k);
+    const auto at_u = std::lower_bound(
+        row.begin(), row.end(), s.edge,
+        [](const Slot& a, EdgeId e) { return a.edge < e; });
+    assert(at_u != row.end() && at_u->edge == s.edge);
+    evict_slot(g, u, static_cast<std::uint32_t>(at_u - row.begin()));
+    return s;
   }
 
  private:
-  static constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
-
   /// Swaps local slot k out of owner's blue prefix. Precondition: blue.
   void evict_slot(const Graph& g, Vertex owner, std::uint32_t k) {
     const std::uint32_t off = g.slot_offset(owner);
@@ -123,7 +132,6 @@ class BluePartition {
 
   LargeVector<std::uint32_t> order_;
   LargeVector<std::uint32_t> pos_of_slot_;
-  LargeVector<std::uint32_t> edge_slot_;
   LargeVector<std::uint32_t> blue_count_;
 };
 

@@ -462,7 +462,7 @@ std::vector<SweepPoint> pcf_points() {
   std::vector<SweepPoint> points;
   for (const Vertex n : {60, 120}) {
     SweepPoint point;
-    point.label = "n" + std::to_string(n);
+    point.label = std::string("n").append(std::to_string(n));
     point.params = {{"n", static_cast<double>(n)}, {"alpha", 0.001}};
     point.graph = [n](Rng& rng) {
       return random_regular_pairing_connected(n, 4, rng);

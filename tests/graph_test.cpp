@@ -3,20 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/registry.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "util/huge_pages.hpp"
+#include "util/rng.hpp"
+
+#include "test_graphs.hpp"
 
 namespace ewalk {
 namespace {
@@ -183,6 +189,74 @@ TEST(Graph, MoveBuildCensusHandlesLoopsAndParallels) {
   const Graph simple = Graph::from_edges(
       3, std::vector<Endpoints>{{0, 1}, {1, 2}, {2, 0}});
   EXPECT_TRUE(simple.is_simple());
+}
+
+// ---- Row order (Graph::from_edges contract) -------------------------------
+
+// Every slot row ascends by edge id, and a self-loop's two slots are
+// adjacent: the order BluePartition::mark_slot_visited relies on to find an
+// edge's slot at its far endpoint by binary search.
+void expect_rows_ascend_by_edge_id(const Graph& g, const std::string& label) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const std::span<const Slot> row = g.slots(v);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (k > 0) {
+        ASSERT_LE(row[k - 1].edge, row[k].edge)
+            << label << ": vertex " << v << " slot " << k;
+      }
+      const bool twin_before = k > 0 && row[k - 1].edge == row[k].edge;
+      const bool twin_after = k + 1 < row.size() && row[k + 1].edge == row[k].edge;
+      const int expected = row[k].neighbor == v ? 1 : 0;  // self-loop: one twin
+      EXPECT_EQ(int{twin_before} + int{twin_after}, expected)
+          << label << ": vertex " << v << " slot " << k;
+    }
+  }
+}
+
+TEST(Graph, RowsAscendByEdgeIdWithSelfLoopTwinsAdjacent) {
+  const Graph messy = messy_multigraph();
+  ASSERT_TRUE(messy.has_self_loops());
+  ASSERT_TRUE(messy.has_parallel_edges());
+  expect_rows_ascend_by_edge_id(messy, "messy_multigraph");
+
+  // Every registered family at a small size; "file" reads messy_multigraph
+  // back from an edge-list file.
+  const std::string path = ::testing::TempDir() + "row_order_graph.txt";
+  {
+    std::ofstream out(path);
+    write_edge_list(messy, out);
+  }
+  const std::vector<std::pair<std::string, ParamMap>> cases = {
+      {"regular", {{"n", "60"}, {"r", "4"}}},
+      {"regular-pairing", {{"n", "60"}, {"r", "4"}}},
+      {"hamunion", {{"n", "60"}, {"k", "3"}}},
+      {"cycle", {{"n", "60"}}},
+      {"complete", {{"n", "12"}}},
+      {"hypercube", {{"r", "5"}}},
+      {"torus", {{"w", "6"}, {"h", "5"}}},
+      {"grid", {{"w", "6"}, {"h", "5"}}},
+      {"geometric", {{"n", "60"}, {"radius", "0.3"}}},
+      {"erdosrenyi", {{"n", "60"}, {"p", "0.1"}}},
+      {"lps", {{"p", "5"}, {"q", "13"}}},
+      {"margulis", {{"k", "8"}}},
+      {"circulant", {{"n", "60"}, {"offsets", "1,2,7"}}},
+      {"lollipop", {{"clique", "6"}, {"tail", "5"}}},
+      {"pcf", {{"base", "regular"}, {"n", "60"}, {"r", "4"}}},
+      {"petersen", {}},
+      {"file", {{"path", path}}},
+  };
+  std::set<std::string> registered, listed;
+  for (const GeneratorEntry& e : GeneratorRegistry::instance().entries())
+    registered.insert(e.name);
+  for (const auto& [family, params] : cases) {
+    listed.insert(family);
+    Rng rng(7);
+    const Graph g = GeneratorRegistry::instance().create(family, params, rng);
+    ASSERT_GT(g.num_edges(), 0u) << family;
+    expect_rows_ascend_by_edge_id(g, family);
+  }
+  EXPECT_EQ(registered, listed);
+  std::remove(path.c_str());
 }
 
 // ---- Huge-page-backed storage (util/huge_pages.hpp) ----------------------

@@ -45,6 +45,8 @@
 #include "walks/srw.hpp"
 #include "walks/weighted.hpp"
 
+#include "test_graphs.hpp"
+
 namespace ewalk {
 namespace {
 
@@ -62,19 +64,6 @@ struct Hasher {
     }
   }
 };
-
-// A connected multigraph with self-loops and parallel edges: the cases where
-// blue-eviction order is subtle (a self-loop occupies two slots of the same
-// vertex; parallel edges are distinct edge ids in neighbouring slots).
-Graph messy_multigraph() {
-  const Vertex n = 60;
-  GraphBuilder b(n);
-  for (Vertex v = 0; v < n; ++v) b.add_edge(v, (v + 1) % n);  // base cycle
-  for (Vertex v = 0; v < n; v += 5) b.add_edge(v, (v + 1) % n);  // parallel
-  for (Vertex v = 0; v < n; v += 7) b.add_edge(v, v);            // self-loop
-  for (Vertex v = 0; v < n; v += 3) b.add_edge(v, (v + 13) % n);  // chords
-  return b.build();
-}
 
 // ---- Scenarios -------------------------------------------------------------
 //
@@ -231,7 +220,7 @@ std::uint64_t single_walkers_trajectory(std::uint64_t steps) {
 
 // Above the huge-page threshold: regular-pairing n = 300000, r = 4 has
 // 1.2M slots and 600000 edges, so every per-slot and per-edge array — the
-// CSR's slots and edges, BluePartition's three slot tables — is over 2 MiB
+// CSR's slots and edges, BluePartition's two slot tables — is over 2 MiB
 // and lives on MADV_HUGEPAGE-advised storage (util/huge_pages.hpp). The
 // messy-multigraph scenarios above are all far below it.
 const Graph& large_regular() {
@@ -619,8 +608,8 @@ class ReferencePartition {
 
   std::uint32_t blue_count(Vertex v) const { return blue_count_[v]; }
 
-  Slot blue_slot(const Graph& g, Vertex v, std::uint32_t p) const {
-    return g.slot(v, order_[g.slot_offset(v) + p]);
+  std::uint32_t local_slot(const Graph& g, Vertex v, std::uint32_t p) const {
+    return order_[g.slot_offset(v) + p];
   }
 
   void mark_edge_visited(const Graph& g, EdgeId e) {
@@ -650,32 +639,73 @@ class ReferencePartition {
   std::vector<std::uint32_t> blue_count_;
 };
 
-TEST(BluePartitionIdentity, MatchesReferenceScanMoveForMoveOnMultigraph) {
-  const Graph g = messy_multigraph();
+// A hub whose row interleaves self-loops, parallel spokes and single
+// spokes, so a self-loop often has both slots deep inside a long blue
+// prefix: the case where the order of its two evictions shows in the
+// permutation. (messy_multigraph's loops sit near the end of short rows,
+// where either order leaves the same prefix.)
+Graph loop_hub() {
+  GraphBuilder b(6);
+  for (Vertex i = 0; i < 18; ++i) b.add_edge(0, i % 3 == 0 ? 0 : 1 + i % 5);
+  for (Vertex v = 1; v < 6; ++v) b.add_edge(v, v % 5 + 1);
+  return b.build();
+}
+
+// Evicts every edge of g once, in a random order, each from a random one of
+// its two slots (a walker at either endpoint, or at either slot of a
+// self-loop), and compares every vertex's blue prefix, slot for slot, with
+// the reference scan after each move. The far end is found by edge id in
+// its row, so parallel edges (distinct ids at the same endpoints) must each
+// find their own slot.
+void expect_matches_reference(const Graph& g, std::uint64_t seed) {
   BluePartition fast(g);
   ReferencePartition ref(g);
-  Rng rng(2718);
-
-  // Evict edges one at a time in a random order, from a random blue vertex's
-  // prefix, comparing the full blue prefix of every vertex after each move
-  // (self-loops evict two slots of one vertex; parallel edges are distinct
-  // edge ids at the same endpoints).
+  Rng rng(seed);
   std::vector<EdgeId> edges(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) edges[e] = e;
   rng.shuffle(std::span<EdgeId>(edges));
 
+  std::uint32_t from_u = 0, from_v = 0;
   for (const EdgeId e : edges) {
-    fast.mark_edge_visited(g, e);
+    // The edge's two slots, found by a scan that assumes no row order.
+    std::vector<std::pair<Vertex, std::uint32_t>> ends;
+    const auto [u, v] = g.endpoints(e);
+    const auto scan = [&](Vertex w) {
+      for (std::uint32_t k = 0; k < g.degree(w); ++k)
+        if (g.slot(w, k).edge == e) ends.emplace_back(w, k);
+    };
+    scan(u);
+    if (v != u) scan(v);
+    ASSERT_EQ(ends.size(), 2u) << "edge " << e;
+    const auto [at, k] = ends[rng.uniform(2)];
+    ++(at == u ? from_u : from_v);
+
+    const Slot taken = fast.mark_slot_visited(g, at, k);
+    EXPECT_EQ(taken.edge, e);
+    EXPECT_EQ(taken.neighbor, g.other_endpoint(e, at));
     ref.mark_edge_visited(g, e);
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(fast.blue_count(v), ref.blue_count(v)) << "vertex " << v;
-      for (std::uint32_t p = 0; p < fast.blue_count(v); ++p) {
-        ASSERT_EQ(fast.blue_slot(g, v, p).edge, ref.blue_slot(g, v, p).edge)
-            << "vertex " << v << " position " << p;
+    for (Vertex w = 0; w < g.num_vertices(); ++w) {
+      ASSERT_EQ(fast.blue_count(w), ref.blue_count(w)) << "vertex " << w;
+      for (std::uint32_t p = 0; p < fast.blue_count(w); ++p) {
+        ASSERT_EQ(fast.local_slot(g, w, p), ref.local_slot(g, w, p))
+            << "seed " << seed << " vertex " << w << " position " << p;
       }
     }
   }
+  EXPECT_GT(from_u, 0u);
+  EXPECT_GT(from_v, 0u);
   for (Vertex v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(fast.blue_count(v), 0u);
+}
+
+TEST(BluePartitionIdentity, MatchesReferenceScanMoveForMoveOnMultigraphs) {
+  for (const Graph& g : {messy_multigraph(), loop_hub()}) {
+    ASSERT_TRUE(g.has_self_loops());
+    ASSERT_TRUE(g.has_parallel_edges());
+    for (std::uint64_t seed = 2718; seed < 2738; ++seed) {
+      expect_matches_reference(g, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // (The FillCandidatesMatchesBlueSlotEnumeration test retired with the

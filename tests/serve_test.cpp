@@ -720,7 +720,7 @@ TEST(ServerTest, ShutdownDrainsInFlightWork) {
   {
     Server server(ServerConfig{});
     for (int i = 0; i < 6; ++i)
-      server.handle_line(run_line("s" + std::to_string(i), "cycle", "srw",
+      server.handle_line(run_line(std::string("s").append(std::to_string(i)), "cycle", "srw",
                                   10 + i, 128, 2),
                          out.sink());
     server.handle_line("{\"op\":\"shutdown\",\"id\":\"bye\"}", out.sink());
@@ -954,7 +954,7 @@ TEST(ServerTcpTest, SequentialRunsDoNotStallOnDelayedAcks) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(client.send_all(
-        run_line("s" + std::to_string(i), "cycle", "srw", 7, 16) + "\n"));
+        run_line(std::string("s").append(std::to_string(i)), "cycle", "srw", 7, 16) + "\n"));
     const std::string result = client.read_result();
     ASSERT_NE(result.find("\"status\":\"ok\""), std::string::npos) << result;
   }
@@ -970,7 +970,7 @@ TEST(ServerTcpTest, StatsAfterTheLastResultCountsEveryRun) {
   constexpr int kRuns = 8;
   std::string batch;
   for (int i = 0; i < kRuns; ++i)
-    batch += run_line("c" + std::to_string(i), "cycle", "srw", 20 + i, 64) + "\n";
+    batch += run_line(std::string("c").append(std::to_string(i)), "cycle", "srw", 20 + i, 64) + "\n";
   ASSERT_TRUE(client.send_all(batch));
   for (int i = 0; i < kRuns; ++i)
     ASSERT_NE(client.read_result().find("\"status\":\"ok\""), std::string::npos);

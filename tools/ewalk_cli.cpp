@@ -119,7 +119,7 @@ int run_cli_sweep(const RunRequest& req, const ParamMap& flags) {
     ParamMap point_params = req.params;
     point_params.set("n", std::to_string(n));
     SweepPoint point;
-    point.label = "n" + std::to_string(n);
+    point.label = std::string("n").append(std::to_string(n));
     point.params = {{"n", static_cast<double>(n)}};
     point.graph = [family = req.graph, point_params](Rng& rng) {
       return GeneratorRegistry::instance().create(family, point_params, rng);
