@@ -259,6 +259,43 @@ TEST(Graph, RowsAscendByEdgeIdWithSelfLoopTwinsAdjacent) {
   std::remove(path.c_str());
 }
 
+// ---- Graphs above the part grain ------------------------------------------
+
+// FNV-1a over the vertex and edge counts, every row offset, every slot and
+// every edge's endpoints.
+std::uint64_t csr_hash(const Graph& g) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  mix(g.num_vertices());
+  mix(g.num_edges());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    mix(g.slot_offset(v));
+    for (const Slot& s : g.slots(v))
+      mix((std::uint64_t{s.neighbor} << 32) | s.edge);
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    mix((std::uint64_t{g.endpoints(e).u} << 32) | g.endpoints(e).v);
+  return h;
+}
+
+// regular-pairing at n = 1.05e6, r = 4: 2.1e6 edges, over twice the 2^20-edge
+// part grain, so generation and the CSR build split into parts.
+constexpr Vertex kLargePairingN = 1'050'000;
+// Recorded with the serial generator and CSR build.
+constexpr std::uint64_t kGoldenPairingCsr = 0x6D99708FAA8ECCC7ULL;
+
+TEST(Graph, PairingCsrMatchesGolden) {
+  Rng rng(1);
+  const Graph g = random_regular_pairing_connected(kLargePairingN, 4, rng);
+  EXPECT_EQ(csr_hash(g), kGoldenPairingCsr)
+      << "0x" << std::hex << std::uppercase << csr_hash(g);
+}
+
 // ---- Huge-page-backed storage (util/huge_pages.hpp) ----------------------
 
 // The VmFlags line of the /proc/self/smaps mapping containing `addr`, or ""
