@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/union_find.hpp"
+#include "util/huge_pages.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ewalk {
 
@@ -55,14 +60,73 @@ bool is_connected(const Graph& g) {
   return bfs_distances_into(g, 0, dist, frontier) == g.num_vertices();
 }
 
+namespace {
+
+// One link of the union-find over `parent`: the larger of the two roots
+// goes under the smaller, so parent pointers only ever decrease and the
+// forest stays acyclic under any interleaving. Shared parts access
+// `parent` atomically and link by CAS, so a link that succeeds always
+// joins two distinct trees; a lone part uses plain accesses. Returns
+// whether this call linked.
+template <bool kShared>
+bool link(Vertex* parent, Vertex a, Vertex b) noexcept {
+  const auto load = [parent](Vertex v) {
+    if constexpr (kShared)
+      return std::atomic_ref<Vertex>(parent[v]).load(std::memory_order_relaxed);
+    return parent[v];
+  };
+  // Root of v, halving the path on the way: any ancestor is a valid parent.
+  const auto find = [&](Vertex v) {
+    for (;;) {
+      const Vertex p = load(v);
+      if (p == v) return v;
+      const Vertex grand = load(p);
+      if constexpr (kShared)
+        std::atomic_ref<Vertex>(parent[v]).store(grand, std::memory_order_relaxed);
+      else
+        parent[v] = grand;
+      v = grand;
+    }
+  };
+  for (;;) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return false;
+    if (a < b) std::swap(a, b);
+    if constexpr (!kShared) {
+      parent[a] = b;
+      return true;
+    }
+    Vertex root = a;
+    if (std::atomic_ref<Vertex>(parent[a]).compare_exchange_strong(
+            root, b, std::memory_order_relaxed))
+      return true;
+  }
+}
+
+}  // namespace
+
 bool edge_list_connected(Vertex n, std::span<const Endpoints> edges) {
   if (n <= 1) return true;
-  UnionFind uf(n);
-  for (const auto& [u, v] : edges) {
-    uf.unite(u, v);
-    if (uf.components() == 1) return true;  // nothing left to merge
-  }
-  return uf.components() == 1;
+  LargeVector<Vertex> parent(n);
+  std::iota(parent.begin(), parent.end(), Vertex{0});
+  // Connected iff exactly n - 1 links succeed, whichever part made them.
+  const std::vector<std::uint64_t> links =
+      for_each_part(edges.size(), [&](Part part) {
+        std::uint64_t count = 0;
+        const std::size_t end = part.end(edges.size());
+        if (part.count > 1) {
+          for (std::size_t i = part.begin(edges.size()); i < end; ++i)
+            count += link<true>(parent.data(), edges[i].u, edges[i].v);
+          return count;
+        }
+        for (std::size_t i = 0; i < end && count < n - 1; ++i)
+          count += link<false>(parent.data(), edges[i].u, edges[i].v);
+        return count;
+      });
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : links) total += count;
+  return total == n - 1;
 }
 
 Components connected_components(const Graph& g) {

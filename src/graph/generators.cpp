@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,6 +14,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/union_find.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ewalk {
 
@@ -346,6 +348,36 @@ class EdgeCountTable {
   /// Current multiplicity of `key` (0 when absent).
   std::uint32_t count(std::uint64_t key) const { return counts_[slot(key)]; }
 
+  /// Adds one occurrence of every edge's key and returns, in ascending
+  /// order, the keys that occur more than once. Parts claim empty slots by
+  /// CAS and count by fetch_add, so no multiplicity depends on how they
+  /// interleave; each repeated key is reported once, by the part that took
+  /// its count from 1 to 2.
+  std::vector<std::uint64_t> add_all(std::span<const Endpoints> edges) {
+    const auto parts = for_each_part(edges.size(), [&](Part part) {
+      std::vector<std::uint64_t> repeated;
+      const std::size_t end = part.end(edges.size());
+      for (std::size_t i = part.begin(edges.size()); i < end; ++i) {
+        const std::uint64_t key = edge_key(edges[i].u, edges[i].v);
+        std::uint32_t before;
+        if (part.count == 1) {  // alone: plain accesses keep the misses overlapped
+          const std::size_t at = slot(key);
+          keys_[at] = key;
+          before = counts_[at]++;
+        } else {
+          before = std::atomic_ref<std::uint32_t>(counts_[claim(key)])
+                       .fetch_add(1, std::memory_order_relaxed);
+        }
+        if (before == 1) repeated.push_back(key);
+      }
+      return repeated;
+    });
+    std::vector<std::uint64_t> repeated;
+    for (const auto& keys : parts) repeated.insert(repeated.end(), keys.begin(), keys.end());
+    std::sort(repeated.begin(), repeated.end());
+    return repeated;
+  }
+
   /// Adds one occurrence of `key`.
   void increment(std::uint64_t key) {
     const std::size_t i = slot(key);
@@ -361,16 +393,33 @@ class EdgeCountTable {
   // 0xFFFFFFFF, i.e. vertex ids of an n = 2^32 graph, beyond Vertex range.
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-  std::size_t slot(std::uint64_t key) const {
+  std::size_t home(std::uint64_t key) const {
     // SplitMix64 finalizer as the hash: edge keys are highly structured
     // (high word = min endpoint), so identity hashing would cluster.
     std::uint64_t z = key + 0x9E3779B97F4A7C15ULL;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     z ^= z >> 31;
-    std::size_t i = static_cast<std::size_t>(z) & mask_;
+    return static_cast<std::size_t>(z) & mask_;
+  }
+
+  std::size_t slot(std::uint64_t key) const {
+    std::size_t i = home(key);
     while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask_;
     return i;
+  }
+
+  // slot() for concurrent parts: an empty slot on the probe path is taken
+  // by CAS; losing the race to another key moves the probe on.
+  std::size_t claim(std::uint64_t key) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      std::atomic_ref<std::uint64_t> held(keys_[i]);
+      std::uint64_t seen = held.load(std::memory_order_relaxed);
+      if (seen == kEmpty &&
+          held.compare_exchange_strong(seen, key, std::memory_order_relaxed))
+        return i;
+      if (seen == key) return i;
+    }
   }
 
   static LargeVector<std::uint64_t>& thread_keys() {
@@ -385,6 +434,38 @@ class EdgeCountTable {
   std::size_t mask_ = 0;
   LargeVector<std::uint64_t>& keys_;
   LargeVector<std::uint32_t>& counts_;
+};
+
+// The few keys a pairing pass repeats (Θ(r²) expected, independent of n) in
+// a small open-addressed set, probed once per edge by the defect scan.
+class KeySet {
+ public:
+  explicit KeySet(std::span<const std::uint64_t> keys) {
+    while (std::size_t{1} << bits_ < 2 * keys.size()) ++bits_;
+    slots_.assign(std::size_t{1} << bits_, kEmpty);
+    for (const std::uint64_t key : keys) {
+      std::size_t i = home(key);
+      while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = key;
+    }
+  }
+
+  bool contains(std::uint64_t key) const noexcept {
+    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == key) return true;
+      if (slots_[i] == kEmpty) return false;
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+
+  int bits_ = 4;
+  std::vector<std::uint64_t> slots_;
 };
 
 // One pairing pass followed by in-place 2-swap repair of the defective
@@ -410,15 +491,25 @@ std::optional<EdgeList> pairing_repair_attempt(Vertex n, std::uint32_t r,
       edges[i] = Endpoints{stubs[2 * i], stubs[2 * i + 1]};
   }
   EdgeCountTable count(m);
-  for (std::size_t i = 0; i < m; ++i)
-    count.increment(edge_key(edges[i].u, edges[i].v));
+  const KeySet repeated(count.add_all(edges));
 
   const auto defective = [&](const Endpoints& e) {
     return e.u == e.v || count.count(edge_key(e.u, e.v)) > 1;
   };
+  // The first defect list needs no second pass of random table reads: an
+  // edge is defective iff it is a loop or its key is one of the few the
+  // fill saw twice. Parts scan the list in index order, so the list comes
+  // out ascending.
   std::vector<std::size_t> defects;
-  for (std::size_t i = 0; i < m; ++i)
-    if (defective(edges[i])) defects.push_back(i);
+  for (const auto& part : for_each_part(m, [&](Part p) {
+         std::vector<std::size_t> found;
+         for (std::size_t i = p.begin(m); i < p.end(m); ++i)
+           if (edges[i].u == edges[i].v ||
+               repeated.contains(edge_key(edges[i].u, edges[i].v)))
+             found.push_back(i);
+         return found;
+       }))
+    defects.insert(defects.end(), part.begin(), part.end());
 
   // The expected defect count after one pairing pass is Θ(r²) (independent
   // of n) and each repair accepts with Ω(1) probability on sparse graphs,

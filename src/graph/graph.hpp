@@ -59,10 +59,15 @@ class Graph {
 
   /// Memory-lean build path: adopts `edges` as the graph's edge array (no
   /// copy, so peak memory during construction is ~1x the edge list instead
-  /// of ~2x), counts degrees in a single pass, fills adjacency slots with an
-  /// in-place bucket cursor (no per-vertex cursor vector), and folds the
-  /// parallel-edge census into a per-vertex stamp scan (no 8-byte-per-edge
-  /// key vector, no O(m log m) sort). Throws std::invalid_argument on an
+  /// of ~2x). The build splits the vertices into contiguous row ranges, one
+  /// per part of for_each_part (util/thread_pool.hpp; one part, inline,
+  /// below about 2^21 edges). Each part streams the whole edge list in id
+  /// order and touches only its own rows: it counts their degrees, then
+  /// fills their slots with offsets_ as the cursor array, so the row-order
+  /// contract above holds within every part and hence for the graph. The
+  /// parallel-edge census is row-local too (each edge counted at its min
+  /// endpoint); no scratch grows with n or m. The result does not depend
+  /// on the number of parts. Throws std::invalid_argument on an
   /// out-of-range endpoint or when 2*edges.size() overflows the 32-bit slot
   /// index space (the CSR stays valid up to ~4e9 slot endpoints).
   static Graph from_edges(Vertex n, EdgeList&& edges);
@@ -114,6 +119,11 @@ class Graph {
 
   bool has_self_loops() const noexcept { return self_loops_ > 0; }
   bool has_parallel_edges() const noexcept { return parallel_edges_ > 0; }
+  /// Number of self-loops.
+  std::uint64_t self_loop_count() const noexcept { return self_loops_; }
+  /// Number of edges that repeat an earlier edge on the same endpoints: k
+  /// copies of an edge (loops included) count k - 1.
+  std::uint64_t parallel_edge_count() const noexcept { return parallel_edges_; }
   /// Simple == no loops and no parallel edges.
   bool is_simple() const noexcept { return self_loops_ == 0 && parallel_edges_ == 0; }
 

@@ -80,13 +80,33 @@ class Rng {
     return Rng(splitmix64(s));
   }
 
-  /// Fisher–Yates shuffle.
+  /// Fisher–Yates shuffle. The swap target for position i - 1 is a draw
+  /// of uniform(i) that depends on nothing the swaps write, so the targets
+  /// are drawn kAhead swaps early and prefetched: on an array larger than
+  /// the cache the random reads overlap. The draws, the permutation and
+  /// the stream's state afterwards are those of the plain loop.
   template <typename T>
   void shuffle(std::span<T> values) noexcept {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(uniform(i));
+    constexpr std::size_t kAhead = 32;
+    const std::size_t n = values.size();
+    if (n < 2) return;
+    // Swap k (0 <= k < n - 1) exchanges values[n - 1 - k] with a draw of
+    // uniform(n - k); ring[k % kAhead] holds that draw until swap k.
+    std::array<std::size_t, kAhead> ring;
+    const auto draw = [&](std::size_t k) {
+      const auto j = static_cast<std::size_t>(uniform(n - k));
+#if defined(__GNUC__) || defined(__clang__)
+      __builtin_prefetch(values.data() + j, 1);
+#endif
+      ring[k % kAhead] = j;
+    };
+    const std::size_t swaps = n - 1;
+    for (std::size_t k = 0; k < kAhead && k < swaps; ++k) draw(k);
+    for (std::size_t k = 0; k < swaps; ++k) {
+      const std::size_t j = ring[k % kAhead];
+      if (k + kAhead < swaps) draw(k + kAhead);
       using std::swap;
-      swap(values[i - 1], values[j]);
+      swap(values[n - 1 - k], values[j]);
     }
   }
 

@@ -306,6 +306,13 @@ void TaskScope::exit_token() {
   executor_.bump_epoch();  // an admission slot opened: wake sleepers
 }
 
+std::uint32_t part_count(std::size_t work) noexcept {
+  const std::size_t parts = work / kPartGrain;
+  if (parts <= 1) return 1;
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(parts, Executor::instance().concurrency()));
+}
+
 std::uint32_t resolve_thread_count(std::uint64_t requested, bool* clamped) {
   if (clamped != nullptr) *clamped = false;
   const std::uint32_t hw = Executor::hardware_threads();

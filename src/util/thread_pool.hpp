@@ -44,6 +44,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ewalk {
@@ -185,6 +186,55 @@ class TaskScope {
   std::mutex error_mutex_;
   std::exception_ptr error_;
 };
+
+/// One part of a pass that for_each_part split: part `index` of `count`.
+struct Part {
+  std::uint32_t index = 0;  ///< this part, 0 <= index < count
+  std::uint32_t count = 1;  ///< parts in the pass
+
+  /// First item of this part when `items` items split into `count`
+  /// contiguous, near-equal ranges in part order.
+  std::size_t begin(std::size_t items) const noexcept {
+    return items * index / count;
+  }
+  /// One past the last item of this part (begin of the next part).
+  std::size_t end(std::size_t items) const noexcept {
+    return items * (index + 1) / count;
+  }
+};
+
+/// Work units (edges, say) per part of a for_each_part pass: a pass of less
+/// than two grains runs as one part, inline on the calling thread.
+inline constexpr std::size_t kPartGrain = std::size_t{1} << 20;
+
+/// Parts a pass of `work` units splits into: work / kPartGrain, at least 1
+/// and at most the executor's concurrency.
+std::uint32_t part_count(std::size_t work) noexcept;
+
+/// Runs fn(part) for every part of a pass of `work` units (part_count(work)
+/// parts) and returns the results in part order. One part runs inline with
+/// no spawn; several run as tasks of a TaskScope opened here, so inside a
+/// task they nest under its root scope and its `--threads` cap. The split
+/// depends only on `work` and the executor's concurrency, never on timing,
+/// so a caller that combines the results in part order is deterministic.
+/// The first exception thrown by fn propagates.
+template <class Fn>
+auto for_each_part(std::size_t work, Fn&& fn) {
+  using Result = std::invoke_result_t<Fn&, Part>;
+  static_assert(!std::is_same_v<Result, bool>,
+                "parts write their results concurrently: no vector<bool>");
+  const std::uint32_t count = part_count(work);
+  std::vector<Result> results(count);
+  if (count == 1) {
+    results[0] = fn(Part{0, 1});
+    return results;
+  }
+  TaskScope scope;
+  for (std::uint32_t p = 0; p < count; ++p)
+    scope.spawn([&fn, &results, p, count] { results[p] = fn(Part{p, count}); });
+  scope.wait();
+  return results;
+}
 
 /// Map a user-facing `--threads` request onto this machine: 0 means all
 /// hardware threads; values above hardware_threads() clamp down (set

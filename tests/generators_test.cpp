@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -13,10 +14,20 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
+#include "util/thread_pool.hpp"
 #include "walks/rules.hpp"
 
 namespace ewalk {
 namespace {
+
+// Give the Executor four workers even on single-core CI runners, so the
+// union-find above the part grain links from several threads at once.
+// Runs before main(), i.e. before the first Executor::instance() call in
+// this binary; an explicit EWALK_WORKERS in the environment wins.
+const bool kWorkersEnvSet = [] {
+  setenv("EWALK_WORKERS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 TEST(Deterministic, CycleGraph) {
   const Graph g = cycle_graph(7);
@@ -420,6 +431,32 @@ TEST(EdgeListConnected, AgreesWithBfsOnBarelyDisconnectedRegular) {
   EXPECT_TRUE(edge_list_connected(100, edges));
   const Graph joined = Graph::from_edges(100, std::move(edges));
   EXPECT_TRUE(is_connected(joined));
+}
+
+TEST(EdgeListConnected, AgreesWithBfsAboveThePartGrain) {
+  // The same three instances at over twice the part grain, where the
+  // union-find links from several parts concurrently: two disjoint 4-regular
+  // halves, the same with one bridge, and a connected graph plus one
+  // isolated vertex.
+  constexpr Vertex kHalf = 550'000;
+  Rng rng(9);
+  const Graph a = random_regular_pairing_connected(kHalf, 4, rng);
+  const Graph b = random_regular_pairing_connected(kHalf, 4, rng);
+  EdgeList edges;
+  for (EdgeId e = 0; e < a.num_edges(); ++e) edges.push_back(a.endpoints(e));
+  for (EdgeId e = 0; e < b.num_edges(); ++e) {
+    const auto [u, v] = b.endpoints(e);
+    edges.push_back({u + kHalf, v + kHalf});
+  }
+  ASSERT_GT(part_count(edges.size()), 1u);
+  const auto agrees = [](Vertex n, const EdgeList& list, bool connected) {
+    EXPECT_EQ(edge_list_connected(n, list), connected);
+    EXPECT_EQ(is_connected(Graph::from_edges(n, list)), connected);
+  };
+  agrees(2 * kHalf, edges, false);
+  edges.push_back({kHalf - 1, kHalf});
+  agrees(2 * kHalf, edges, true);
+  agrees(2 * kHalf + 1, edges, false);
 }
 
 TEST(GenerationCounters, ConnectedGeneratorsNeverCallBfs) {

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <set>
@@ -21,11 +22,22 @@
 #include "graph/io.hpp"
 #include "util/huge_pages.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 #include "test_graphs.hpp"
 
 namespace ewalk {
 namespace {
+
+// Give the Executor four workers even on single-core CI runners, so builds
+// above the part grain split into several parts that really run
+// concurrently. Runs before main(), i.e. before the first
+// Executor::instance() call in this binary; an explicit EWALK_WORKERS in
+// the environment wins.
+const bool kWorkersEnvSet = [] {
+  setenv("EWALK_WORKERS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 // Same vertex count, edge list (ids and endpoints), slot rows and flags.
 void expect_same_graph(const Graph& a, const Graph& b) {
@@ -289,11 +301,142 @@ constexpr Vertex kLargePairingN = 1'050'000;
 // Recorded with the serial generator and CSR build.
 constexpr std::uint64_t kGoldenPairingCsr = 0x6D99708FAA8ECCC7ULL;
 
-TEST(Graph, PairingCsrMatchesGolden) {
-  Rng rng(1);
-  const Graph g = random_regular_pairing_connected(kLargePairingN, 4, rng);
-  EXPECT_EQ(csr_hash(g), kGoldenPairingCsr)
-      << "0x" << std::hex << std::uppercase << csr_hash(g);
+// Runs `make` as the one task of a root TaskScope capped at `cap` threads:
+// the parts of a build inside it share that cap.
+template <typename Make>
+Graph in_scope(std::uint32_t cap, const Make& make) {
+  Graph g;
+  TaskScope scope(cap);
+  scope.spawn([&] { g = make(); });
+  scope.wait();
+  return g;
+}
+
+// The CSR as a plain serial build lays it out: degrees counted, rows filled
+// in edge id order through a cursor vector. The census comes from sorted
+// endpoint keys, independent of the rows.
+struct SerialCsr {
+  std::vector<std::uint32_t> offsets;
+  std::vector<Slot> slots;
+  std::uint64_t self_loops = 0;
+  std::uint64_t parallel_edges = 0;
+};
+
+SerialCsr serial_csr(Vertex n, std::span<const Endpoints> edges) {
+  SerialCsr c;
+  c.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::uint64_t> keys;
+  for (const auto& [u, v] : edges) {
+    ++c.offsets[u + 1];
+    ++c.offsets[v + 1];
+    c.self_loops += u == v;
+    keys.push_back((std::uint64_t{std::min(u, v)} << 32) | std::max(u, v));
+  }
+  std::partial_sum(c.offsets.begin(), c.offsets.end(), c.offsets.begin());
+  std::vector<std::uint32_t> cursor(c.offsets.begin(), c.offsets.end() - 1);
+  c.slots.resize(2 * edges.size());
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    const auto [u, v] = edges[e];
+    c.slots[cursor[u]++] = Slot{v, e};
+    c.slots[cursor[v]++] = Slot{u, e};
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 1; i < keys.size(); ++i) c.parallel_edges += keys[i] == keys[i - 1];
+  return c;
+}
+
+// g is the serial layout of `edges`: offsets, slots, edges and census. Stops
+// at the first differing entry.
+void expect_serial_layout(const Graph& g, std::span<const Endpoints> edges,
+                          const SerialCsr& want, const std::string& label) {
+  ASSERT_EQ(g.num_edges(), edges.size()) << label;
+  std::uint32_t min_degree = ~0u, max_degree = 0;
+  bool all_even = true;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const std::uint32_t d = want.offsets[v + 1] - want.offsets[v];
+    ASSERT_EQ(g.slot_offset(v), want.offsets[v]) << label << ": row " << v;
+    ASSERT_EQ(g.degree(v), d) << label << ": row " << v;
+    for (std::uint32_t k = 0; k < d; ++k) {
+      const Slot& got = g.slot(v, k);
+      const Slot& expected = want.slots[want.offsets[v] + k];
+      if (got.neighbor != expected.neighbor || got.edge != expected.edge)
+        FAIL() << label << ": row " << v << " slot " << k;
+    }
+    min_degree = std::min(min_degree, d);
+    max_degree = std::max(max_degree, d);
+    all_even = all_even && d % 2 == 0;
+  }
+  EXPECT_EQ(g.min_degree(), min_degree) << label;
+  EXPECT_EQ(g.max_degree(), max_degree) << label;
+  EXPECT_EQ(g.all_degrees_even(), all_even) << label;
+  for (EdgeId e = 0; e < edges.size(); ++e)
+    if (g.endpoints(e).u != edges[e].u || g.endpoints(e).v != edges[e].v)
+      FAIL() << label << ": edge " << e;
+  EXPECT_EQ(g.self_loop_count(), want.self_loops) << label;
+  EXPECT_EQ(g.parallel_edge_count(), want.parallel_edges) << label;
+  EXPECT_EQ(g.has_self_loops(), want.self_loops > 0) << label;
+  EXPECT_EQ(g.has_parallel_edges(), want.parallel_edges > 0) << label;
+}
+
+// messy_multigraph tiled `copies` times on disjoint vertex ranges, every
+// tile joined to the next by a bridge that doubles as a parallel edge.
+std::pair<Vertex, EdgeList> tiled_messy(Vertex copies) {
+  const Graph tile = messy_multigraph();
+  const Vertex size = tile.num_vertices();
+  EdgeList edges;
+  edges.reserve(static_cast<std::size_t>(copies) * (tile.num_edges() + 2));
+  for (Vertex c = 0; c < copies; ++c) {
+    const Vertex base = c * size;
+    for (EdgeId e = 0; e < tile.num_edges(); ++e)
+      edges.push_back({base + tile.endpoints(e).u, base + tile.endpoints(e).v});
+    if (c + 1 < copies) {
+      edges.push_back({base + size - 1, base + size});
+      edges.push_back({base + size, base + size - 1});
+    }
+  }
+  return {copies * size, std::move(edges)};
+}
+
+TEST(Graph, BuildAboveGrainMatchesSerialLayoutAtEveryCap) {
+  // Over three grains of edges, with loops and parallel edges wherever a
+  // part boundary falls.
+  const auto [n, edges] = tiled_messy(3 * static_cast<Vertex>(kPartGrain / 100));
+  ASSERT_GE(edges.size(), 3 * kPartGrain);
+  ASSERT_GT(part_count(edges.size()), 1u);
+  const SerialCsr want = serial_csr(n, edges);
+  ASSERT_GT(want.self_loops, 0u);
+  ASSERT_GT(want.parallel_edges, 0u);
+  for (const std::uint32_t cap : {1u, 2u, 4u}) {
+    const Graph g = in_scope(cap, [&, n = n] { return Graph::from_edges(n, EdgeList(edges)); });
+    expect_serial_layout(g, edges, want, "tiled messy, cap " + std::to_string(cap));
+    expect_rows_ascend_by_edge_id(g, "tiled messy");
+  }
+
+  Rng rng(3);
+  const Graph pairing = random_regular_pairing(kLargePairingN, 4, rng);
+  EdgeList pairing_edges;
+  for (EdgeId e = 0; e < pairing.num_edges(); ++e) pairing_edges.push_back(pairing.endpoints(e));
+  ASSERT_GE(pairing_edges.size(), 2 * kPartGrain);
+  const SerialCsr want_pairing = serial_csr(kLargePairingN, pairing_edges);
+  expect_serial_layout(pairing, pairing_edges, want_pairing, "regular-pairing");
+  for (const std::uint32_t cap : {1u, 2u, 4u}) {
+    const Graph g = in_scope(cap, [&] {
+      return Graph::from_edges(kLargePairingN, EdgeList(pairing_edges));
+    });
+    expect_serial_layout(g, pairing_edges, want_pairing,
+                         "regular-pairing, cap " + std::to_string(cap));
+  }
+}
+
+TEST(Graph, PairingCsrMatchesGoldenAtEveryCap) {
+  for (const std::uint32_t cap : {1u, 2u, 4u}) {
+    const Graph g = in_scope(cap, [] {
+      Rng rng(1);
+      return random_regular_pairing_connected(kLargePairingN, 4, rng);
+    });
+    EXPECT_EQ(csr_hash(g), kGoldenPairingCsr)
+        << "cap " << cap << ": 0x" << std::hex << std::uppercase << csr_hash(g);
+  }
 }
 
 // ---- Huge-page-backed storage (util/huge_pages.hpp) ----------------------

@@ -2,12 +2,16 @@
 // and CSV output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -103,6 +107,22 @@ TEST(Rng, ShuffleActuallyMoves) {
   int fixed = 0;
   for (int i = 0; i < 100; ++i) fixed += (v[i] == i);
   EXPECT_LT(fixed, 20);
+}
+
+TEST(Rng, ShuffleMatchesPlainFisherYates) {
+  // The look-ahead shuffle draws its swap targets early; the permutation
+  // and the stream's state afterwards must be those of the plain loop, on
+  // both sides of the look-ahead depth.
+  for (const std::size_t n : {0, 1, 2, 31, 32, 33, 34, 100, 5000}) {
+    Rng fast(41), plain(41);
+    std::vector<std::uint32_t> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] = b[i] = static_cast<std::uint32_t>(i);
+    fast.shuffle(std::span<std::uint32_t>(a));
+    for (std::size_t i = n; i > 1; --i)
+      std::swap(b[i - 1], b[static_cast<std::size_t>(plain.uniform(i))]);
+    EXPECT_EQ(a, b) << "n = " << n;
+    EXPECT_EQ(fast.next_u64(), plain.next_u64()) << "n = " << n;
+  }
 }
 
 TEST(DeriveStreams, DeterministicAndDistinct) {
