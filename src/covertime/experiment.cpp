@@ -46,7 +46,9 @@ std::vector<TrialOutcome> TrialTarget::run(std::span<Rng> streams,
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const WalkProcess& process = *setups[i].process;
     TrialOutcome& out = outcomes[i];
-    out.done = finished[i] != 0;
+    out.unreachable = kind_ == RunTarget::kCoalescence &&
+                      static_cast<const TokenProcess&>(process).token_floor() > tokens_;
+    out.done = finished[i] != 0 && !out.unreachable;
     out.result_step = result_step(process);
     out.steps = process.steps();
     out.first_meeting = first_meeting(process);
@@ -63,7 +65,11 @@ std::vector<std::uint8_t> TrialTarget::drive(
       });
     case RunTarget::kCoalescence:
       return run_trial_bundle(trials, [k = tokens_](const WalkProcess& p) {
-        return static_cast<const TokenProcess&>(p).tokens_remaining() <= k;
+        // Above the target, tokens_remaining() == token_floor() means every
+        // token sits alone in a component of a final graph: nothing can
+        // merge or meet any more.
+        const auto& tokens = static_cast<const TokenProcess&>(p);
+        return tokens.tokens_remaining() <= std::max(k, tokens.token_floor());
       });
     case RunTarget::kAuto:
     case RunTarget::kVertices:

@@ -67,6 +67,7 @@ using TrialBuilder = std::function<TrialSetup(Rng&)>;
 /// What one trial of TrialTarget::run did.
 struct TrialOutcome {
   bool done = false;             ///< the target was reached within the budget
+  bool unreachable = false;      ///< stopped early: the target can no longer be reached
   std::uint64_t result_step = 0; ///< the step the target was reached (meaningful when done)
   std::uint64_t budget = 0;      ///< the trial's step budget
   std::uint64_t steps = 0;       ///< transitions made
@@ -104,7 +105,11 @@ class TrialTarget {
   /// Runs one bundle: builds trial i from streams[i] (ascending i) through
   /// `build`, check()s it, and drives every trial to this target through
   /// one run_trial_bundle call, checked at every step, on a budget of
-  /// `max_steps` (default_step_budget of the trial's graph when 0).
+  /// `max_steps` (default_step_budget of the trial's graph when 0). A token
+  /// trial whose token_floor() exceeds the target stops, not done and
+  /// marked unreachable, once its population is down to that floor: no
+  /// token can meet another any more, so its samples are those a walk to
+  /// the budget would give.
   /// Returns one outcome per stream, in order; a trial's trajectory depends
   /// only on its own stream, so outcomes do not depend on the bundle's
   /// width. Exceptions thrown by `build` or check() propagate.

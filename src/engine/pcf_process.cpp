@@ -1,5 +1,7 @@
 #include "engine/pcf_process.hpp"
 
+#include <algorithm>
+
 namespace ewalk {
 
 PcfCoalescingSrw::PcfCoalescingSrw(const Graph& base,
@@ -15,6 +17,16 @@ PcfCoalescingSrw::PcfCoalescingSrw(const Graph& base,
 void PcfCoalescingSrw::step(Rng& rng) {
   time_ += time_per_step_;
   schedule_.advance_to(time_, dyn_);
+  if (!settled_ && schedule_.exhausted()) {
+    // The graph is final: tokens meet only inside a component.
+    settled_ = true;
+    std::vector<Vertex> held;
+    for (TokenSystem::TokenId t = 0; t < tokens_.initial_tokens(); ++t)
+      if (tokens_.alive(t)) held.push_back(schedule_.component(tokens_.position(t)));
+    std::sort(held.begin(), held.end());
+    token_floor_ = static_cast<std::uint32_t>(
+        std::unique(held.begin(), held.end()) - held.begin());
+  }
   const TokenSystem::TokenId t = begin_turn();
   const Vertex v = tokens_.position(t);
   Slot slot;

@@ -90,6 +90,9 @@ class PcfProcess final : public WalkProcess {
 /// CoalescingRW. One step() advances PCF time, then moves one token
 /// (round-robin over the alive population); a token at an isolated vertex
 /// holds for its turn. Tokens merge on vertex collision (mover dies).
+/// Freezing can strand tokens in different components, which never meet:
+/// once the schedule is exhausted the graph is final, and token_floor()
+/// becomes the number of its components that hold tokens.
 class PcfCoalescingSrw final : public TokenProcess {
  public:
   /// `base` is the potential-edge graph (borrowed); start vertices must be
@@ -114,6 +117,7 @@ class PcfCoalescingSrw final : public TokenProcess {
   std::uint64_t holds_ = 0;
   double time_per_step_;
   double time_ = 0.0;
+  bool settled_ = false;  // token_floor_ counted on the final graph
 };
 
 }  // namespace ewalk

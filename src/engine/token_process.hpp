@@ -60,6 +60,12 @@ class TokenProcess : public WalkProcess {
   /// Step at which the population reached 1; kNotCovered until then.
   std::uint64_t coalescence_step() const { return tokens_.coalescence_step(); }
 
+  /// Fewest tokens the population can still shrink to: 1 unless the
+  /// process has learnt that some tokens can never meet (PcfCoalescingSrw,
+  /// once its graph stops changing, counts the components that hold
+  /// tokens). A target below it cannot be reached.
+  std::uint32_t token_floor() const { return token_floor_; }
+
  protected:
   /// Places one token on each start vertex (distinct, in range, at least
   /// one) and visits them at step 0. `cover_edges` sizes the edge side of
@@ -100,6 +106,7 @@ class TokenProcess : public WalkProcess {
   CoverState cover_;    ///< cover by all tokens together
   TokenSystem::TokenId next_token_ = 0;  ///< about to move; always alive
   std::uint64_t steps_ = 0;              ///< turns taken
+  std::uint32_t token_floor_ = 1;        ///< see token_floor()
 };
 
 /// What a registered process is (ProcessEntry::kind): a run with no

@@ -62,6 +62,10 @@ class PcfSchedule {
   /// True once every base edge's open event has been processed.
   bool exhausted() const noexcept { return cursor_ == events_.size(); }
 
+  /// Root of v's component in the open subgraph (the edges inserted so
+  /// far): two vertices are joined by open edges iff their roots agree.
+  Vertex component(Vertex v) { return components_.find(v); }
+
   /// Edges opened (inserted into the dynamic graph) so far.
   std::uint64_t opened() const noexcept { return opened_; }
 

@@ -157,6 +157,7 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
       out.step_samples.push_back(static_cast<double>(trial.steps));
       if (coalescence) out.meeting_samples.push_back(trial.meeting_sample());
       if (!trial.done) ++out.unfinished;
+      if (trial.unreachable) ++out.unreachable;
     }
     out.stats = summarize(out.samples);
     out.total_steps = std::accumulate(out.step_samples.begin(),

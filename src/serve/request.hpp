@@ -84,6 +84,7 @@ struct RunResult {
   std::vector<double> meeting_samples;  ///< coalescence only: first meeting
   SummaryStats meeting_stats;           ///< over `meeting_samples`
   std::uint32_t unfinished = 0;  ///< trials clamped to the budget
+  std::uint32_t unreachable = 0; ///< of those, trials that could no longer reach the target
   std::vector<double> step_samples;  ///< transitions per trial, trial order
   double total_steps = 0.0;      ///< transitions summed over trials
   double wall_seconds = 0.0;     ///< wall time of the trial phase

@@ -19,6 +19,7 @@
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/pcf.hpp"
+#include "serve/request.hpp"
 #include "sweep/sweep.hpp"
 #include "walks/dynamic_walks.hpp"
 #include "walks/srw.hpp"
@@ -527,6 +528,26 @@ TEST(DynamicSweep, CoalescingTokensMergeOnTheEvolvingGraph) {
     ++guard;
   }
   EXPECT_EQ(proc.tokens_remaining(), 1u);
+}
+
+TEST(DynamicSweep, StrandedCoalescingTrialsEndWhenTheScheduleRunsOut) {
+  // At the default alpha = 1 the PCF schedule freezes the graph into many
+  // components, so the 8 tokens end up in several of them and can never
+  // all meet. Each trial ends as unfinished and unreachable once the
+  // schedule is exhausted (PCF time about ln m, a few n steps) and no two
+  // tokens share a component, not at the 14.2M-step budget. The samples
+  // are the budget, as a walk to the budget would give.
+  const RunRequest req = run_request_from_params(ParamMap{
+      {"graph", "regular"}, {"n", "2000"}, {"r", "4"}, {"seed", "3"},
+      {"process", "pcf-coalescing-srw"}, {"tokens", "8"}, {"trials", "4"}});
+  const RunResult result = execute_run(req, nullptr);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.unfinished, 4u);
+  EXPECT_EQ(result.unreachable, 4u);
+  for (std::size_t t = 0; t < result.samples.size(); ++t) {
+    EXPECT_EQ(result.samples[t], static_cast<double>(result.budget)) << "trial " << t;
+    EXPECT_LT(result.step_samples[t], 100000.0) << "trial " << t;
+  }
 }
 
 }  // namespace

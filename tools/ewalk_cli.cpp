@@ -222,6 +222,10 @@ int main(int argc, char** argv) {
                   "  budget — raise --max-steps for true values\n",
                   result.unfinished, req.trials,
                   static_cast<unsigned long long>(result.budget));
+    if (result.unreachable > 0)
+      std::printf("  %u of them cannot coalesce: once the graph stopped changing,\n"
+                  "  their tokens sat in more components than the target allows\n",
+                  result.unreachable);
 
     if (flags.has("csv")) {
       std::vector<std::string> header = {"trial", "result_step", "total_steps"};
