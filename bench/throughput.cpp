@@ -37,8 +37,9 @@
 // the blue phase is where the eviction cost lives, and a dense family
 // (complete) is included precisely to expose it.
 //
-// The latency-bound tier (rows with graph "regular-1m") runs SRW and the
-// uniform-rule E-process on an n = 1e6 sparse random-regular graph — a CSR
+// The latency-bound tier (rows with graph "regular-<n>": "regular-1m" at the
+// default --latency-n 1000000, "regular-250k" at 250000) runs SRW and the
+// uniform-rule E-process on a sparse random-regular graph — at n = 1e6 a CSR
 // far outside LLC, where every step is a dependent DRAM miss — once per
 // bundle width: width W interleaves W independent walks round-robin through
 // engine/bundle.hpp so the misses overlap. Every walk gets the SAME per-walk
@@ -282,6 +283,11 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(lat_reps));
     Rng lat_graph_rng(seed);
     const Graph g = random_regular_pairing_connected(lat_n, lat_r, lat_graph_rng);
+    // The tier is named by its n: 1000000 -> "regular-1m", 250000 -> "regular-250k".
+    const std::string tier =
+        "regular-" + (lat_n % 1000000 == 0 ? std::to_string(lat_n / 1000000) + "m"
+                      : lat_n % 1000 == 0  ? std::to_string(lat_n / 1000) + "k"
+                                           : std::to_string(lat_n));
     const std::vector<ProcessSpec> lat_procs = {
         {"srw", "srw", {}},
         {"eprocess-uniform", "eprocess", {{"rule", "uniform"}}},
@@ -295,7 +301,7 @@ int main(int argc, char** argv) try {
         // through scheduling jitter. Per-trial private streams are derived
         // exactly like measure_cover's: one stream per interleaved walk,
         // consumed only by that walk.
-        record(measure(proc, "regular-1m", g,
+        record(measure(proc, tier, g,
                        derive_streams(seed * 9176 + pair,
                                       static_cast<std::uint32_t>(width)),
                        lat_steps, chunk, lat_reps));
