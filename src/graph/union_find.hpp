@@ -1,10 +1,13 @@
-// Disjoint-set union (union by size, path halving) over vertex ids.
+// Disjoint-set union over vertex ids, and the edge-list connectivity check.
 //
-// This is the generation-path connectivity primitive: the random-regular
-// generators maintain (or replay) a UnionFind over their edge lists so the
-// keep/retry decision is known the moment the last edge lands — no Graph is
-// built and no BFS runs for rejected attempts (see generators.cpp and the
-// generation↔connectivity contract in docs/ARCHITECTURE.md).
+// These are the generation-path connectivity primitives: the random-regular
+// generators decide keep/retry from a union-find over their edge lists the
+// moment the last edge lands — no Graph is built and no BFS runs for
+// rejected attempts (see generators.cpp and the generation↔connectivity
+// contract in docs/ARCHITECTURE.md). Steger–Wormald and the PCF schedule
+// grow a UnionFind (union by size, path halving) edge by edge;
+// edge_list_connected replays a finished list with a concurrent union-find
+// of its own, split into parts by for_each_part (util/thread_pool.hpp).
 #pragma once
 
 #include <cstdint>
@@ -68,12 +71,15 @@ class UnionFind {
 };
 
 /// True iff the multigraph (n vertices, `edges`) is connected — a single
-/// union-find pass over the edge list with an early exit once one component
-/// remains. Equivalent to is_connected(Graph::from_edges(n, edges)) but
-/// needs no CSR build and no BFS; the generators use it to decide retries
-/// before any Graph exists. n == 0 and n == 1 are connected; isolated
-/// vertices (degree 0 with n > 1) make the graph disconnected, exactly as
-/// the BFS check reports.
+/// union-find pass over the edge list. Above the part grain the list splits
+/// into parts that link concurrently, each link putting the larger root
+/// under the smaller by CAS; the graph is connected iff exactly n - 1 links
+/// succeed, which does not depend on how the parts interleave. One part
+/// links plainly and stops once one component remains. Equivalent to
+/// is_connected(Graph::from_edges(n, edges)) but needs no CSR build and no
+/// BFS; the generators use it to decide retries before any Graph exists.
+/// n == 0 and n == 1 are connected; isolated vertices (degree 0 with
+/// n > 1) make the graph disconnected, exactly as the BFS check reports.
 bool edge_list_connected(Vertex n, std::span<const Endpoints> edges);
 
 }  // namespace ewalk
