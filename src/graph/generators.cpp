@@ -348,11 +348,11 @@ class EdgeCountTable {
   /// Current multiplicity of `key` (0 when absent).
   std::uint32_t count(std::uint64_t key) const { return counts_[slot(key)]; }
 
-  /// Adds one occurrence of every edge's key and returns, in ascending
-  /// order, the keys that occur more than once. Parts claim empty slots by
-  /// CAS and count by fetch_add, so no multiplicity depends on how they
-  /// interleave; each repeated key is reported once, by the part that took
-  /// its count from 1 to 2.
+  /// Adds one occurrence of every edge's key and returns the keys that
+  /// occur more than once (each once, in no fixed order). Parts claim empty
+  /// slots by CAS and count by fetch_add, so no multiplicity depends on how
+  /// they interleave; a repeated key is reported by the part that took its
+  /// count from 1 to 2.
   std::vector<std::uint64_t> add_all(std::span<const Endpoints> edges) {
     const auto parts = for_each_part(edges.size(), [&](Part part) {
       std::vector<std::uint64_t> repeated;
@@ -374,7 +374,6 @@ class EdgeCountTable {
     });
     std::vector<std::uint64_t> repeated;
     for (const auto& keys : parts) repeated.insert(repeated.end(), keys.begin(), keys.end());
-    std::sort(repeated.begin(), repeated.end());
     return repeated;
   }
 

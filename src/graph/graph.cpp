@@ -105,18 +105,17 @@ Graph Graph::from_edges(Vertex n, EdgeList&& edges) {
 
   std::vector<std::uint32_t> base(parts.size());
   std::uint64_t total = 0;
+  g.min_degree_ = n == 0 ? 0 : std::numeric_limits<std::uint32_t>::max();
   for (std::size_t p = 0; p < parts.size(); ++p) {
     if (parts[p].out_of_range)
       throw std::invalid_argument("Graph::from_edges: endpoint out of range");
     base[p] = static_cast<std::uint32_t>(total);
     total += parts[p].slots;
     g.self_loops_ += parts[p].self_loops;
-    g.min_degree_ = p == 0 ? parts[p].min_degree
-                           : std::min(g.min_degree_, parts[p].min_degree);
+    g.min_degree_ = std::min(g.min_degree_, parts[p].min_degree);
     g.max_degree_ = std::max(g.max_degree_, parts[p].max_degree);
     g.all_even_ = g.all_even_ && parts[p].all_even;
   }
-  if (n == 0) g.min_degree_ = 0;
   g.offsets_[n] = static_cast<std::uint32_t>(total);
 
   // Pass 2 fills the part's slots using offsets_[v] as v's cursor (a

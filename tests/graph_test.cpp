@@ -412,6 +412,18 @@ TEST(Graph, BuildAboveGrainMatchesSerialLayoutAtEveryCap) {
     expect_rows_ascend_by_edge_id(g, "tiled messy");
   }
 
+  // Three vertices with rows of a million slots: parts hold one vertex or
+  // none, and the census sorts its long rows.
+  EdgeList dense;
+  const Endpoints pattern[] = {{0, 1}, {1, 1}, {1, 2}, {2, 0}, {0, 0}, {2, 1}};
+  while (dense.size() < 2 * kPartGrain + 6)
+    for (const Endpoints& e : pattern) dense.push_back(e);
+  const SerialCsr want_dense = serial_csr(3, dense);
+  for (const std::uint32_t cap : {1u, 2u, 4u}) {
+    const Graph g = in_scope(cap, [&] { return Graph::from_edges(3, EdgeList(dense)); });
+    expect_serial_layout(g, dense, want_dense, "dense, cap " + std::to_string(cap));
+  }
+
   Rng rng(3);
   const Graph pairing = random_regular_pairing(kLargePairingN, 4, rng);
   EdgeList pairing_edges;
