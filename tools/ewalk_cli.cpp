@@ -216,16 +216,17 @@ int main(int argc, char** argv) {
                 result.wall_seconds > 0 ? result.total_steps / result.wall_seconds
                                         : 0.0,
                 result.total_steps, result.wall_seconds, req.threads);
-    if (result.unfinished > 0)
+    if (result.unfinished > result.unreachable)
       std::printf("  WARNING: %u/%u trials did not finish within %llu steps;\n"
                   "  their samples (and the statistics above) are clamped to the\n"
                   "  budget — raise --max-steps for true values\n",
-                  result.unfinished, req.trials,
+                  result.unfinished - result.unreachable, req.trials,
                   static_cast<unsigned long long>(result.budget));
     if (result.unreachable > 0)
-      std::printf("  %u of them cannot coalesce: once the graph stopped changing,\n"
-                  "  their tokens sat in more components than the target allows\n",
-                  result.unreachable);
+      std::printf("  WARNING: %u/%u trials cannot coalesce: once the graph stopped\n"
+                  "  changing, their tokens sat alone in more components than the\n"
+                  "  target allows; their samples are clamped to the budget\n",
+                  result.unreachable, req.trials);
 
     if (flags.has("csv")) {
       std::vector<std::string> header = {"trial", "result_step", "total_steps"};
