@@ -312,9 +312,11 @@ namespace {
 // here: the repair inserts only O(defects) keys beyond the initial m.
 // At most one instance may be live per thread (the backing storage is
 // thread_local); pairing_repair_attempt's single function-local table
-// satisfies this by construction. Capacity and probe order only affect
-// speed, never the multiplicities the table reports, so resizing policy is
-// free to change without perturbing generated graphs.
+// satisfies this by construction. add_all's parts on other threads write
+// the constructing thread's storage, and are joined before it returns.
+// Capacity and probe order only affect speed, never the multiplicities the
+// table reports, so resizing policy and the fill's interleaving are free to
+// change without perturbing generated graphs.
 class EdgeCountTable {
  public:
   /// Table sized for `expected` distinct keys (capacity >= 1.5x, power of
