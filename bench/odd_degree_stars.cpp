@@ -38,7 +38,7 @@ StarTrial run_trial(Vertex n, std::uint32_t d, Rng& rng) {
     if (walk.steps() >= next_census) {
       next_census += n / 10;
       const auto report = analyze_blue(g, walk.cover().edge_visited_flags(),
-                                       walk.cover().vertex_visited_flags());
+                                       walk.cover().visit_counts());
       out.peak_census = std::max(
           out.peak_census, static_cast<double>(report.isolated_unvisited_stars));
     }

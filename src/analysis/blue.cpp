@@ -7,13 +7,13 @@
 namespace ewalk {
 
 BlueReport analyze_blue(const Graph& g, std::span<const std::uint8_t> edge_visited,
-                        std::span<const std::uint8_t> vertex_visited) {
-  if (edge_visited.size() != g.num_edges() || vertex_visited.size() != g.num_vertices())
-    throw std::invalid_argument("analyze_blue: flag array size mismatch");
+                        std::span<const std::uint32_t> visit_counts) {
+  if (edge_visited.size() != g.num_edges() || visit_counts.size() != g.num_vertices())
+    throw std::invalid_argument("analyze_blue: array size mismatch");
 
   BlueReport report;
   for (Vertex v = 0; v < g.num_vertices(); ++v)
-    if (!vertex_visited[v]) ++report.unvisited_vertices_total;
+    if (visit_counts[v] == 0) ++report.unvisited_vertices_total;
 
   std::vector<std::uint32_t> blue_degree(g.num_vertices(), 0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -56,7 +56,7 @@ BlueReport analyze_blue(const Graph& g, std::span<const std::uint8_t> edge_visit
     std::uint32_t leaves = 0;
     for (const Vertex u : members) {
       if (blue_degree[u] % 2 != 0) c.all_degrees_even = false;
-      if (!vertex_visited[u]) c.contains_unvisited_vertex = true;
+      if (visit_counts[u] == 0) c.contains_unvisited_vertex = true;
       if (blue_degree[u] == 1) ++leaves;
       if (blue_degree[u] > blue_degree[max_degree_vertex]) max_degree_vertex = u;
     }
@@ -65,7 +65,7 @@ BlueReport analyze_blue(const Graph& g, std::span<const std::uint8_t> edge_visit
         leaves == c.num_vertices - 1) {
       c.is_star = true;
       c.star_center = max_degree_vertex;
-      if (!vertex_visited[max_degree_vertex]) ++report.isolated_unvisited_stars;
+      if (visit_counts[max_degree_vertex] == 0) ++report.isolated_unvisited_stars;
     }
     report.components.push_back(c);
   }

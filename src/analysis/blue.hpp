@@ -37,8 +37,9 @@ struct BlueReport {
 };
 
 /// Extracts the blue (unvisited-edge) components. `edge_visited` has one
-/// flag per edge id; `vertex_visited` one per vertex.
+/// flag per edge id; `visit_counts` one visit count per vertex, where any
+/// nonzero count means visited (CoverState::visit_counts()).
 BlueReport analyze_blue(const Graph& g, std::span<const std::uint8_t> edge_visited,
-                        std::span<const std::uint8_t> vertex_visited);
+                        std::span<const std::uint32_t> visit_counts);
 
 }  // namespace ewalk

@@ -138,41 +138,6 @@ bool has_dense_subgraph(const Graph& g, std::uint32_t max_size) {
   return search.search();
 }
 
-std::int64_t sample_max_edge_excess(const Graph& g, std::uint32_t max_size,
-                                    std::uint32_t samples, Rng& rng) {
-  std::int64_t worst = std::numeric_limits<std::int64_t>::min();
-  std::vector<bool> in_set(g.num_vertices(), false);
-  std::vector<Vertex> set;
-  std::vector<Vertex> frontier;
-  for (std::uint32_t trial = 0; trial < samples; ++trial) {
-    set.clear();
-    frontier.clear();
-    const Vertex root = static_cast<Vertex>(rng.uniform(g.num_vertices()));
-    set.push_back(root);
-    in_set[root] = true;
-    for (const Slot& s : g.slots(root))
-      if (!in_set[s.neighbor]) frontier.push_back(s.neighbor);
-
-    std::int64_t edges = 0;
-    while (set.size() < max_size && !frontier.empty()) {
-      const std::size_t pick = static_cast<std::size_t>(rng.uniform(frontier.size()));
-      const Vertex w = frontier[pick];
-      frontier[pick] = frontier.back();
-      frontier.pop_back();
-      if (in_set[w]) continue;
-      for (const Slot& s : g.slots(w))
-        if (in_set[s.neighbor]) ++edges;
-      set.push_back(w);
-      in_set[w] = true;
-      for (const Slot& s : g.slots(w))
-        if (!in_set[s.neighbor]) frontier.push_back(s.neighbor);
-    }
-    worst = std::max(worst, edges - static_cast<std::int64_t>(set.size()));
-    for (const Vertex u : set) in_set[u] = false;
-  }
-  return worst;
-}
-
 std::uint32_t certified_ell_good(const Graph& g, std::uint32_t density_size) {
   // Per-vertex lower bounds:
   //   * odd degree  — vacuous (no even subgraph contains all edges at v);

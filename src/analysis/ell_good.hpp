@@ -13,14 +13,13 @@
 //     if no connected subgraph on s < L vertices induces more than s edges
 //     (property (P2) with a = 0) then every vertex of degree >= 4 is L-good.
 //     We provide an exact bounded-size checker (rooted enumeration à la
-//     Lemma 14) and a randomised sampler for large graphs.
+//     Lemma 14).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace ewalk {
 
@@ -40,13 +39,6 @@ std::uint32_t ell_lower_bound_girth(const Graph& g, Vertex v);
 /// enumeration; exponential in max_size, intended for max_size <= ~8 on
 /// bounded-degree graphs.
 bool has_dense_subgraph(const Graph& g, std::uint32_t max_size);
-
-/// Randomised sampler for large graphs: grows `samples` random connected
-/// vertex sets of size <= max_size and reports the worst edge-excess
-/// e(U) - |U| observed (>= 1 disproves L-goodness via the density route;
-/// never proves it, only fails to falsify).
-std::int64_t sample_max_edge_excess(const Graph& g, std::uint32_t max_size,
-                                    std::uint32_t samples, Rng& rng);
 
 /// Combined certified lower bound on the graph's ℓ: min over vertices of
 /// ell_lower_bound_girth, with degree >= 4 vertices upgraded to

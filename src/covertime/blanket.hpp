@@ -1,10 +1,9 @@
-// Blanket time (Ding–Lee–Peres, used in the paper's eq. (4) argument).
+// Visit-all-r-times measurement for the paper's eq. (4) argument.
 //
-// τ_bl(δ) is the first step t at which every vertex v has been visited at
-// least δ π_v t times. Theorem 1.1 of [7] gives E τ_bl(δ) = O(C_V(SRW));
-// the paper uses it to bound the E-process edge cover time: once every
-// vertex has been visited d(v) times by the embedded red walk, all edges
-// are explored, so C_E = O(m + C_V(SRW)) (eq. 4).
+// Once every vertex v has been visited d(v) times by the embedded red walk,
+// all edges are explored, so C_E = O(m + T(r)), where T(r) is the time for
+// a SRW to visit every vertex r times. The paper bounds T(r) by the blanket
+// time of Ding–Lee–Peres (Theorem 1.1 of [7]: E τ_bl(δ) = O(C_V(SRW))).
 #pragma once
 
 #include <cstdint>
@@ -13,17 +12,6 @@
 #include "util/rng.hpp"
 
 namespace ewalk {
-
-struct BlanketResult {
-  std::uint64_t blanket_step = 0;  ///< τ_bl(δ) (== max_steps on timeout)
-  bool reached = false;
-};
-
-/// Measures τ_bl(δ) of a SRW from `start`. The blanket condition is checked
-/// every `check_every` steps (0 = every n steps). δ in (0,1).
-BlanketResult measure_blanket_time(const Graph& g, Vertex start, double delta,
-                                   Rng& rng, std::uint64_t max_steps,
-                                   std::uint64_t check_every = 0);
 
 /// Time for a SRW to visit every vertex at least `count` times (the T(r) of
 /// the paper's eq. (4) argument). Returns max_steps when not reached.

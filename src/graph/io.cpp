@@ -37,13 +37,4 @@ Graph read_edge_list_file(const std::string& path) {
   return read_edge_list(in);
 }
 
-void write_dot(const Graph& g, std::ostream& out, const std::string& name) {
-  out << "graph " << name << " {\n";
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    out << "  " << u << " -- " << v << ";\n";
-  }
-  out << "}\n";
-}
-
 }  // namespace ewalk

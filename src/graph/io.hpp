@@ -1,5 +1,4 @@
-// Graph serialisation: whitespace edge lists (one "u v" pair per line) and
-// Graphviz DOT output for small-graph debugging.
+// Graph serialisation: whitespace edge lists (one "u v" pair per line).
 #pragma once
 
 #include <iosfwd>
@@ -15,8 +14,5 @@ void write_edge_list(const Graph& g, std::ostream& out);
 /// Parses the format produced by write_edge_list.
 Graph read_edge_list(std::istream& in);
 Graph read_edge_list_file(const std::string& path);
-
-/// Graphviz (undirected) output.
-void write_dot(const Graph& g, std::ostream& out, const std::string& name = "G");
 
 }  // namespace ewalk

@@ -3,7 +3,6 @@
 #include <queue>
 #include <utility>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace ewalk {
 
@@ -32,48 +31,6 @@ ContractionResult contract_set(const Graph& g, std::span<const Vertex> set) {
   }
   out.graph = Graph::from_edges(next, std::move(edges));
   return out;
-}
-
-SubdivisionResult subdivide_edges(const Graph& g, std::span<const EdgeId> chosen) {
-  std::unordered_set<EdgeId> chosen_set;
-  for (const EdgeId e : chosen) {
-    if (e >= g.num_edges()) throw std::invalid_argument("subdivide_edges: edge out of range");
-    if (!chosen_set.insert(e).second)
-      throw std::invalid_argument("subdivide_edges: duplicate edge id");
-  }
-
-  SubdivisionResult out;
-  EdgeList edges;
-  edges.reserve(g.num_edges() + chosen.size());
-  Vertex next = g.num_vertices();
-  // Untouched edges first (preserving relative order), then the two halves
-  // of each subdivided edge, in the order the edges were given.
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!chosen_set.count(e)) edges.push_back(g.endpoints(e));
-  }
-  out.mid_vertices.reserve(chosen.size());
-  for (const EdgeId e : chosen) {
-    const auto [u, v] = g.endpoints(e);
-    const Vertex mid = next++;
-    out.mid_vertices.push_back(mid);
-    edges.push_back(Endpoints{u, mid});
-    edges.push_back(Endpoints{mid, v});
-  }
-  out.graph = Graph::from_edges(next, std::move(edges));
-  return out;
-}
-
-Graph add_laziness_loops(const Graph& g) {
-  EdgeList edges;
-  edges.reserve(g.num_edges() * 2);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) edges.push_back(g.endpoints(e));
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t d = g.degree(v);
-    if (d == 0 || d % 2 != 0)
-      throw std::invalid_argument("add_laziness_loops: all degrees must be even and positive");
-    for (std::uint32_t i = 0; i < d / 2; ++i) edges.push_back(Endpoints{v, v});
-  }
-  return Graph::from_edges(g.num_vertices(), std::move(edges));
 }
 
 Graph double_edges(const Graph& g) {

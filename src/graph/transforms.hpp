@@ -1,4 +1,5 @@
-// Graph transforms used by the paper's proofs (Section 2.2 and Lemma 16):
+// Graph transforms used by the paper: vertex-set contraction (Section 2.2)
+// and the evenization repairs of Section 5 (below).
 //
 //   * contract_set — contract a vertex set S to a single vertex γ,
 //     *retaining* loops and parallel edges, so that d(γ) = d(S) and
@@ -6,12 +7,6 @@
 //     set" to "visits to a single vertex" (eq. 15) and relies on the facts
 //     that contraction does not decrease the eigenvalue gap (eq. 16) or the
 //     conductance.
-//   * subdivide_path_edges — insert a degree-2 vertex into each given edge
-//     (Lemma 16 subdivides the 2ℓ edges of a leaf-to-leaf path xPy).
-//   * add_laziness_loops — the loop-based realisation of the lazy walk:
-//     adding d(v)/2 self-loops at every vertex v (even degrees required)
-//     gives a graph whose SRW is exactly the lazy walk of G, with transition
-//     eigenvalues (1 + λ_i)/2.
 #pragma once
 
 #include <span>
@@ -32,20 +27,6 @@ struct ContractionResult {
 /// the set become loops at γ; multi-edges are kept. Edge ids are preserved
 /// in order (edge e of Γ corresponds to edge e of G).
 ContractionResult contract_set(const Graph& g, std::span<const Vertex> set);
-
-struct SubdivisionResult {
-  Graph graph;
-  /// For each input edge (in order), the new mid-vertex inserted into it.
-  std::vector<Vertex> mid_vertices;
-};
-
-/// Subdivides each listed edge once (duplicate edge ids rejected). Other
-/// edges are untouched. New vertices are appended after the original ids.
-SubdivisionResult subdivide_edges(const Graph& g, std::span<const EdgeId> edges);
-
-/// Adds d(v)/2 self-loops at every vertex (throws unless all degrees are
-/// even and positive). The SRW on the result is the lazy walk of `g`.
-Graph add_laziness_loops(const Graph& g);
 
 // ---- Evenization (Section 5: "Removing the even degree constraint?") ----
 //

@@ -5,8 +5,7 @@
 namespace ewalk {
 
 CoverState::CoverState(Vertex n, EdgeId m)
-    : n_(n), m_(m), vertex_visited_(n, 0), edge_visited_(m, 0),
-      visit_count_(n, 0), first_vertex_visit_(n, kNotCovered) {}
+    : n_(n), m_(m), edge_visited_(m, 0), visit_count_(n, 0) {}
 
 std::uint32_t CoverState::min_visit_count() const {
   if (visit_count_.empty()) return 0;

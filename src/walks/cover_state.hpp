@@ -1,9 +1,9 @@
 // Shared cover-progress bookkeeping for all walk processes.
 //
-// Tracks which vertices/edges have been visited, how many times each vertex
-// has been visited (needed by RWC(d), blanket-time measurements, and
-// adversarial E-process rules), and the step at which vertex/edge cover
-// completed.
+// Tracks which edges have been visited, how many times each vertex has been
+// visited (needed by RWC(d), the visit-all-r-times measurement and
+// adversarial E-process rules; a vertex is visited once its count is
+// nonzero), and the step at which vertex/edge cover completed.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,14 @@ class CoverState {
  public:
   CoverState(Vertex n, EdgeId m);
 
-  /// Records a visit to v at time `step`. Idempotent w.r.t. coverage.
+  /// Records a visit to v at time `step`. Idempotent w.r.t. coverage. The
+  /// count saturates at UINT32_MAX, so a visited vertex never reads as
+  /// unvisited.
   void visit_vertex(Vertex v, std::uint64_t step) {
-    ++visit_count_[v];
-    if (!vertex_visited_[v]) {
-      vertex_visited_[v] = 1;
+    const std::uint32_t count = visit_count_[v];
+    visit_count_[v] = count + (count != std::numeric_limits<std::uint32_t>::max());
+    if (count == 0) {
       ++vertices_covered_;
-      first_vertex_visit_[v] = step;
       if (vertices_covered_ == n_) vertex_cover_step_ = step;
     }
   }
@@ -41,10 +42,9 @@ class CoverState {
     }
   }
 
-  bool vertex_visited(Vertex v) const { return vertex_visited_[v] != 0; }
+  bool vertex_visited(Vertex v) const { return visit_count_[v] != 0; }
   bool edge_visited(EdgeId e) const { return edge_visited_[e] != 0; }
   std::uint32_t visit_count(Vertex v) const { return visit_count_[v]; }
-  std::uint64_t first_visit_step(Vertex v) const { return first_vertex_visit_[v]; }
 
   Vertex vertices_covered() const { return vertices_covered_; }
   EdgeId edges_covered() const { return edges_covered_; }
@@ -56,19 +56,17 @@ class CoverState {
   std::uint64_t vertex_cover_step() const { return vertex_cover_step_; }
   std::uint64_t edge_cover_step() const { return edge_cover_step_; }
 
-  /// Minimum visit count over all vertices (blanket-style statistic).
+  /// Minimum visit count over all vertices (the visit-all-r-times target).
   std::uint32_t min_visit_count() const;
 
-  std::span<const std::uint8_t> vertex_visited_flags() const { return vertex_visited_; }
+  std::span<const std::uint32_t> visit_counts() const { return visit_count_; }
   std::span<const std::uint8_t> edge_visited_flags() const { return edge_visited_; }
 
  private:
   Vertex n_;
   EdgeId m_;
-  LargeVector<std::uint8_t> vertex_visited_;
   LargeVector<std::uint8_t> edge_visited_;
   LargeVector<std::uint32_t> visit_count_;
-  LargeVector<std::uint64_t> first_vertex_visit_;
   Vertex vertices_covered_ = 0;
   EdgeId edges_covered_ = 0;
   std::uint64_t vertex_cover_step_ = kNotCovered;

@@ -27,13 +27,11 @@ class LocallyFairWalk final : public SingleWalk {
   /// Engine-driver entry point; the rng is ignored (deterministic process).
   void step(Rng&) override { step(); }
 
-  /// Traversal count per edge (for long-run fairness checks).
-  const std::vector<std::uint64_t>& edge_traversals() const { return traversals_; }
-
  private:
   FairnessCriterion criterion_;
-  std::vector<std::uint64_t> traversals_;  // per edge
-  std::vector<std::uint64_t> last_used_;   // per edge; 0 == never
+  // Per edge, the quantity the criterion minimises: the traversal count
+  // (least-used) or the step of the last traversal, 0 == never (oldest).
+  std::vector<std::uint64_t> key_;
 };
 
 }  // namespace ewalk

@@ -1,9 +1,8 @@
-// Tests for structural analysis: girth, cycle census, ℓ-goodness, and blue
-// component extraction.
+// Tests for structural analysis: girth, ℓ-goodness, and blue component
+// extraction.
 #include <gtest/gtest.h>
 
 #include "analysis/blue.hpp"
-#include "analysis/cycles.hpp"
 #include "analysis/ell_good.hpp"
 #include "analysis/girth.hpp"
 #include "graph/generators.hpp"
@@ -66,68 +65,6 @@ TEST(Girth, ThroughVertex) {
   EXPECT_EQ(shortest_cycle_through_vertex(g, 0), 3u);
   EXPECT_EQ(shortest_cycle_through_vertex(g, 1), 3u);
   EXPECT_EQ(shortest_cycle_through_vertex(g, 5), kInfiniteGirth);
-}
-
-TEST(Cycles, CompleteGraphCounts) {
-  // K_4: C(4,3) = 4 triangles; 3 four-cycles.
-  const auto counts = count_cycles_up_to(complete_graph(4), 4);
-  EXPECT_EQ(counts[3], 4u);
-  EXPECT_EQ(counts[4], 3u);
-}
-
-TEST(Cycles, K5Counts) {
-  // K_5: 10 triangles, 15 4-cycles, 12 5-cycles.
-  const auto counts = count_cycles_up_to(complete_graph(5), 5);
-  EXPECT_EQ(counts[3], 10u);
-  EXPECT_EQ(counts[4], 15u);
-  EXPECT_EQ(counts[5], 12u);
-}
-
-TEST(Cycles, PetersenCounts) {
-  // Petersen graph: no 3- or 4-cycles, exactly 12 5-cycles, 10 6-cycles.
-  const auto counts = count_cycles_up_to(petersen_graph(), 6);
-  EXPECT_EQ(counts[3], 0u);
-  EXPECT_EQ(counts[4], 0u);
-  EXPECT_EQ(counts[5], 12u);
-  EXPECT_EQ(counts[6], 10u);
-}
-
-TEST(Cycles, CycleGraphSingleCycle) {
-  const auto counts = count_cycles_up_to(cycle_graph(7), 8);
-  for (std::uint32_t k = 3; k <= 6; ++k) EXPECT_EQ(counts[k], 0u);
-  EXPECT_EQ(counts[7], 1u);
-}
-
-TEST(Cycles, DisjointnessCheck) {
-  // Two vertex-disjoint triangles joined by a long path.
-  GraphBuilder b(9);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  b.add_edge(6, 7);
-  b.add_edge(7, 8);
-  b.add_edge(8, 6);
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  b.add_edge(4, 5);
-  b.add_edge(5, 6);
-  EXPECT_TRUE(short_cycles_vertex_disjoint(b.build(), 3));
-  // Two triangles sharing a vertex are not disjoint.
-  GraphBuilder c(5);
-  c.add_edge(0, 1);
-  c.add_edge(1, 2);
-  c.add_edge(2, 0);
-  c.add_edge(0, 3);
-  c.add_edge(3, 4);
-  c.add_edge(4, 0);
-  EXPECT_FALSE(short_cycles_vertex_disjoint(c.build(), 3));
-}
-
-TEST(Cycles, RequiresSimpleGraph) {
-  GraphBuilder b(2);
-  b.add_edge(0, 1);
-  b.add_edge(0, 1);
-  EXPECT_THROW(count_cycles_up_to(b.build(), 4), std::invalid_argument);
 }
 
 // ---- ℓ-goodness -----------------------------------------------------------
@@ -207,16 +144,6 @@ TEST(EllGood, DenseSubgraphDetection) {
   EXPECT_FALSE(has_dense_subgraph(b.build(), 4));
 }
 
-TEST(EllGood, SampleExcessNeverExceedsExhaustive) {
-  Rng rng(3);
-  const Graph g = random_regular_connected(100, 4, rng);
-  const bool dense6 = has_dense_subgraph(g, 6);
-  const std::int64_t sampled = sample_max_edge_excess(g, 6, 2000, rng);
-  if (!dense6) {
-    EXPECT_LE(sampled, 0);
-  }
-}
-
 TEST(EllGood, CertifiedEllOnCycle) {
   // C_n: certified ℓ should equal n (girth bound is exact for degree 2).
   EXPECT_EQ(certified_ell_good(cycle_graph(9), 4), 9u);
@@ -245,8 +172,8 @@ TEST(EllGood, CertifiedEllOnHypercube) {
 TEST(Blue, FullBlueGraphIsOneComponent) {
   const Graph g = cycle_graph(5);
   std::vector<std::uint8_t> edge_visited(g.num_edges(), 0);
-  std::vector<std::uint8_t> vertex_visited(g.num_vertices(), 0);
-  const auto report = analyze_blue(g, edge_visited, vertex_visited);
+  std::vector<std::uint32_t> visit_counts(g.num_vertices(), 0);
+  const auto report = analyze_blue(g, edge_visited, visit_counts);
   ASSERT_EQ(report.components.size(), 1u);
   EXPECT_EQ(report.components[0].num_vertices, 5u);
   EXPECT_EQ(report.components[0].num_edges, 5u);
@@ -257,8 +184,8 @@ TEST(Blue, FullBlueGraphIsOneComponent) {
 TEST(Blue, AllVisitedIsEmpty) {
   const Graph g = cycle_graph(5);
   std::vector<std::uint8_t> edge_visited(g.num_edges(), 1);
-  std::vector<std::uint8_t> vertex_visited(g.num_vertices(), 1);
-  const auto report = analyze_blue(g, edge_visited, vertex_visited);
+  std::vector<std::uint32_t> visit_counts(g.num_vertices(), 1);
+  const auto report = analyze_blue(g, edge_visited, visit_counts);
   EXPECT_TRUE(report.components.empty());
   EXPECT_EQ(report.blue_edges_total, 0u);
 }
@@ -267,9 +194,9 @@ TEST(Blue, StarDetection) {
   // Star with unvisited center, visited leaves => isolated unvisited star.
   const Graph g = star_graph(4);  // center 0, leaves 1..3
   std::vector<std::uint8_t> edge_visited(g.num_edges(), 0);
-  std::vector<std::uint8_t> vertex_visited(g.num_vertices(), 1);
-  vertex_visited[0] = 0;
-  const auto report = analyze_blue(g, edge_visited, vertex_visited);
+  std::vector<std::uint32_t> visit_counts(g.num_vertices(), 1);
+  visit_counts[0] = 0;
+  const auto report = analyze_blue(g, edge_visited, visit_counts);
   ASSERT_EQ(report.components.size(), 1u);
   EXPECT_TRUE(report.components[0].is_star);
   EXPECT_EQ(report.components[0].star_center, 0u);
@@ -281,20 +208,36 @@ TEST(Blue, TwoComponents) {
   // C_6 with edges {2,3} and {5,0} visited leaves two blue paths.
   const Graph g = cycle_graph(6);
   std::vector<std::uint8_t> edge_visited(g.num_edges(), 0);
-  std::vector<std::uint8_t> vertex_visited(g.num_vertices(), 1);
+  std::vector<std::uint32_t> visit_counts(g.num_vertices(), 1);
   // cycle_graph adds edges (i, i+1 mod n) in order, so edge i = {i, i+1}.
   edge_visited[2] = 1;
   edge_visited[5] = 1;
-  const auto report = analyze_blue(g, edge_visited, vertex_visited);
+  const auto report = analyze_blue(g, edge_visited, visit_counts);
   EXPECT_EQ(report.components.size(), 2u);
   EXPECT_EQ(report.blue_edges_total, 4u);
   for (const auto& c : report.components) EXPECT_FALSE(c.all_degrees_even);
 }
 
+TEST(Blue, CountAboveOneReadsVisited) {
+  // Only a zero count is unvisited: a center seen 7 times and a leaf seen
+  // UINT32_MAX times both count as visited.
+  const Graph g = star_graph(4);  // center 0, leaves 1..3
+  std::vector<std::uint8_t> edge_visited(g.num_edges(), 0);
+  std::vector<std::uint32_t> visit_counts = {7, 0, 0xFFFFFFFFu, 2};
+  const auto report = analyze_blue(g, edge_visited, visit_counts);
+  ASSERT_EQ(report.components.size(), 1u);
+  EXPECT_TRUE(report.components[0].is_star);
+  EXPECT_TRUE(report.components[0].contains_unvisited_vertex);
+  EXPECT_EQ(report.unvisited_vertices_total, 1u);
+  EXPECT_EQ(report.isolated_unvisited_stars, 0u);
+}
+
 TEST(Blue, SizeMismatchThrows) {
   const Graph g = cycle_graph(4);
-  std::vector<std::uint8_t> bad_edges(2, 0), verts(4, 0);
-  EXPECT_THROW(analyze_blue(g, bad_edges, verts), std::invalid_argument);
+  std::vector<std::uint8_t> bad_edges(2, 0), edges(4, 0);
+  std::vector<std::uint32_t> counts(4, 0), bad_counts(3, 0);
+  EXPECT_THROW(analyze_blue(g, bad_edges, counts), std::invalid_argument);
+  EXPECT_THROW(analyze_blue(g, edges, bad_counts), std::invalid_argument);
 }
 
 }  // namespace

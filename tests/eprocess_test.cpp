@@ -109,7 +109,7 @@ TEST_P(EProcessInvariants, BlueComponentsEvenDuringRedPhase) {
     if (color == StepColor::kRed && checks < 25) {
       ++checks;
       const auto report = analyze_blue(g, walk.cover().edge_visited_flags(),
-                                       walk.cover().vertex_visited_flags());
+                                       walk.cover().visit_counts());
       for (const auto& c : report.components)
         EXPECT_TRUE(c.all_degrees_even) << "blue component with odd degree during red phase";
       // Any unvisited vertex must lie in some blue component (Obs 11.1).

@@ -613,13 +613,5 @@ TEST(Io, RejectsTruncatedInput) {
   EXPECT_THROW(read_edge_list(ss), std::runtime_error);
 }
 
-TEST(Io, DotContainsEdges) {
-  std::stringstream ss;
-  write_dot(triangle(), ss, "T");
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("graph T"), std::string::npos);
-  EXPECT_NE(out.find("0 -- 1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ewalk

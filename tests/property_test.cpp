@@ -100,21 +100,28 @@ INSTANTIATE_TEST_SUITE_P(KindsAndSeeds, EvenGraphEdgeCover,
                                             ::testing::Values<std::uint64_t>(1, 2, 3, 4)));
 
 TEST(FirstVisitTimes, RespectCoverStep) {
-  // max over v of first_visit_step(v) == vertex_cover_step, and every first
-  // visit is <= the cover step.
+  // The step at which vertices_covered() last grows is vertex_cover_step,
+  // and the start vertex counts as covered at step 0.
   Rng rng(5);
   const Graph g = random_regular_connected(200, 4, rng);
   UniformRule rule;
   EProcess walk(g, 0, rule);
-  ASSERT_TRUE(run_until(walk, rng, VertexCovered{}, 1u << 24));
-  std::uint64_t max_fv = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto fv = walk.cover().first_visit_step(v);
-    ASSERT_NE(fv, kNotCovered);
-    max_fv = std::max(max_fv, fv);
+  ASSERT_TRUE(walk.cover().vertex_visited(0));
+  ASSERT_EQ(walk.cover().vertices_covered(), 1u);
+  std::uint32_t covered = walk.cover().vertices_covered();
+  std::uint64_t last_growth = 0;
+  while (!walk.cover().all_vertices_covered() && walk.steps() < (1u << 24)) {
+    walk.step(rng);
+    ASSERT_EQ(walk.cover().vertex_cover_step() != kNotCovered,
+              walk.cover().all_vertices_covered());
+    if (walk.cover().vertices_covered() > covered) {
+      ASSERT_EQ(walk.cover().vertices_covered(), covered + 1);
+      covered = walk.cover().vertices_covered();
+      last_growth = walk.steps();
+    }
   }
-  EXPECT_EQ(max_fv, walk.cover().vertex_cover_step());
-  EXPECT_EQ(walk.cover().first_visit_step(0), 0u);
+  ASSERT_TRUE(walk.cover().all_vertices_covered());
+  EXPECT_EQ(last_growth, walk.cover().vertex_cover_step());
 }
 
 TEST(FirstVisitTimes, EProcessFirstVisitsAlwaysBlue) {

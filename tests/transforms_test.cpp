@@ -1,6 +1,6 @@
-// Tests for graph transforms: contraction (Section 2.2), subdivision
-// (Lemma 16), and the loop-based lazy transform — including the spectral
-// facts the paper relies on (eq. 16: contraction does not shrink the gap).
+// Tests for graph transforms: contraction (Section 2.2), including the
+// spectral facts the paper relies on (eq. 16: contraction does not shrink
+// the gap).
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
@@ -78,58 +78,6 @@ TEST(Contract, RejectsBadInput) {
   EXPECT_THROW(contract_set(g, std::vector<Vertex>{}), std::invalid_argument);
   EXPECT_THROW(contract_set(g, std::vector<Vertex>{9}), std::invalid_argument);
   EXPECT_THROW(contract_set(g, std::vector<Vertex>{1, 1}), std::invalid_argument);
-}
-
-TEST(Subdivide, InsertsDegreeTwoVertices) {
-  const Graph g = complete_graph(4);
-  const std::vector<EdgeId> chosen{0, 3};
-  const auto res = subdivide_edges(g, chosen);
-  EXPECT_EQ(res.graph.num_vertices(), g.num_vertices() + 2);
-  EXPECT_EQ(res.graph.num_edges(), g.num_edges() + 2);
-  for (const Vertex mid : res.mid_vertices) EXPECT_EQ(res.graph.degree(mid), 2u);
-  // Original degrees unchanged.
-  for (Vertex v = 0; v < 4; ++v) EXPECT_EQ(res.graph.degree(v), 3u);
-}
-
-TEST(Subdivide, LengthensCycles) {
-  const Graph g = cycle_graph(5);
-  std::vector<EdgeId> all{0, 1, 2, 3, 4};
-  const auto res = subdivide_edges(g, all);
-  EXPECT_EQ(res.graph.num_vertices(), 10u);
-  EXPECT_TRUE(is_connected(res.graph));
-  EXPECT_TRUE(res.graph.is_regular(2));
-}
-
-TEST(Subdivide, RejectsDuplicatesAndOutOfRange) {
-  const Graph g = cycle_graph(4);
-  EXPECT_THROW(subdivide_edges(g, std::vector<EdgeId>{0, 0}), std::invalid_argument);
-  EXPECT_THROW(subdivide_edges(g, std::vector<EdgeId>{99}), std::invalid_argument);
-}
-
-TEST(Lazy, LoopTransformHalvesSpectrumShift) {
-  // SRW on add_laziness_loops(G) has eigenvalues (1+λ_i)/2.
-  const Graph g = cycle_graph(8);  // bipartite: λn = -1
-  const Graph lazy = add_laziness_loops(g);
-  EXPECT_EQ(lazy.num_vertices(), g.num_vertices());
-  for (Vertex v = 0; v < lazy.num_vertices(); ++v)
-    EXPECT_EQ(lazy.degree(v), 2 * g.degree(v));
-  const auto eg = dense_spectrum(g);
-  const auto el = dense_spectrum(lazy);
-  ASSERT_EQ(eg.size(), el.size());
-  for (std::size_t i = 0; i < eg.size(); ++i)
-    EXPECT_NEAR(el[i], (1.0 + eg[i]) / 2.0, 1e-8) << i;
-}
-
-TEST(Lazy, RejectsOddDegrees) {
-  EXPECT_THROW(add_laziness_loops(path_graph(3)), std::invalid_argument);
-}
-
-TEST(Lazy, KeepsEvenDegreesForEProcess) {
-  // The lazy graph is still even-degree, so the E-process parity argument
-  // applies to it as well.
-  const Graph g = torus_2d(4, 4);
-  const Graph lazy = add_laziness_loops(g);
-  EXPECT_TRUE(lazy.all_degrees_even());
 }
 
 }  // namespace

@@ -156,12 +156,18 @@ TEST(LocallyFair, LeastUsedFirstCoversEdges) {
 TEST(LocallyFair, LeastUsedFirstIsFairLongRun) {
   // [5]: Least-Used-First traverses all edges with the same frequency in the
   // long run. After many multiples of 2m steps the min/max traversal counts
-  // should be within a factor ~2.
+  // should be within a factor ~2. The torus is simple, so each step's edge
+  // is the one joining the walker's old and new vertex.
   const Graph g = torus_2d(5, 5);
   LocallyFairWalk walk(g, 0, FairnessCriterion::kLeastUsedFirst);
   const std::uint64_t m = g.num_edges();
-  for (std::uint64_t i = 0; i < 400 * m; ++i) walk.step();
-  const auto& tr = walk.edge_traversals();
+  std::vector<std::uint64_t> tr(m, 0);
+  for (std::uint64_t i = 0; i < 400 * m; ++i) {
+    const Vertex from = walk.current();
+    walk.step();
+    for (const Slot& s : g.slots(from))
+      if (s.neighbor == walk.current()) ++tr[s.edge];
+  }
   const auto [lo, hi] = std::minmax_element(tr.begin(), tr.end());
   EXPECT_GT(*lo, 0u);
   EXPECT_LT(static_cast<double>(*hi) / static_cast<double>(*lo), 2.0);
@@ -178,15 +184,6 @@ TEST(LocallyFair, OldestFirstIsDeterministicAndCoversSmallGraphs) {
   }
   LocallyFairWalk c(g, 0, FairnessCriterion::kOldestFirst);
   EXPECT_TRUE(run_until(c, EdgesCovered{}, 100000));
-}
-
-TEST(LocallyFair, TraversalCountsMatchSteps) {
-  const Graph g = petersen_graph();
-  LocallyFairWalk walk(g, 0, FairnessCriterion::kLeastUsedFirst);
-  for (int i = 0; i < 777; ++i) walk.step();
-  std::uint64_t total = 0;
-  for (const auto c : walk.edge_traversals()) total += c;
-  EXPECT_EQ(total, 777u);
 }
 
 // ---- Error paths shared by every single walker ------------------------------
